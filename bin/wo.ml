@@ -421,21 +421,6 @@ let check_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"TEST" ~doc:"Litmus test name (see `wo list').")
   in
-  let strategy_arg =
-    let s =
-      Arg.enum [ ("naive", `Naive); ("por", `Por); ("stateful", `Stateful) ]
-    in
-    Arg.(
-      value & opt s `Stateful
-      & info [ "strategy" ] ~docv:"STRATEGY"
-          ~doc:
-            "Search strategy: $(b,naive) (every interleaving), $(b,por) \
-             (sleep-set partial-order reduction over the search tree), or \
-             $(b,stateful) (the default: DAG search — canonical state \
-             hashing, processor-symmetry reduction and work stealing on \
-             top of the reduced search).  The verdict is identical for \
-             all three.")
-  in
   let jobs_arg =
     Arg.(
       value & opt int 1
@@ -445,28 +430,7 @@ let check_cmd =
              recommended count for this host.  The verdict is identical \
              for every value.")
   in
-  let engine_arg =
-    let e =
-      Arg.enum
-        [
-          ("compiled", Wo_prog.Enumerate.Compiled);
-          ("ast", Wo_prog.Enumerate.Ast);
-        ]
-    in
-    Arg.(
-      value & opt e Wo_prog.Enumerate.Compiled
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "Execution engine for the $(b,stateful) strategy: \
-             $(b,compiled) (the default: programs are compiled once to \
-             int-coded ops with packed state keys and an off-heap \
-             visited table) or $(b,ast) (the persistent AST \
-             interpreter, the oracle).  Programs the compiler cannot \
-             lower automatically fall back to $(b,ast); the verdict is \
-             identical either way.  Tree strategies always use the AST \
-             interpreter.")
-  in
-  let run test strategy jobs engine metrics =
+  let run test jobs metrics =
     let test = or_die (get_litmus test) in
     if test.L.loops then
       or_die
@@ -479,85 +443,35 @@ let check_cmd =
     Format.printf "%a@.@." Wo_prog.Program.pp test.L.program;
     let t0 = Unix.gettimeofday () in
     let result, stats =
-      match strategy with
-      | `Stateful ->
-        let r, s =
-          Wo_prog.Enumerate.check_drf0_stateful ~engine ?domains test.L.program
-        in
-        (r, Some s)
-      | (`Naive | `Por) as s ->
-        let strategy =
-          match s with
-          | `Naive -> Wo_prog.Enumerate.Naive
-          | `Por -> Wo_prog.Enumerate.Por
-        in
-        (* Tree search: per-strategy counters, no dedup to report. *)
-        (match domains with
-        | Some d when d > 1 ->
-          ( Wo_prog.Enumerate.check_drf0_par ~strategy ~domains:d test.L.program,
-            None )
-        | _ ->
-          let r, (s : Wo_prog.Enumerate.stats) =
-            Wo_prog.Enumerate.check_drf0_with_stats ~strategy test.L.program
-          in
-          ( r,
-            Some
-              {
-                Wo_prog.Enumerate.sf_states = s.Wo_prog.Enumerate.states;
-                sf_distinct = 0;
-                sf_hits = 0;
-                sf_executions = s.Wo_prog.Enumerate.executions;
-                sf_steals = 0;
-                sf_per_domain = [| s.Wo_prog.Enumerate.states |];
-              } ))
+      Wo_prog.Enumerate.check_drf0_stateful ?domains test.L.program
     in
     let wall = Unix.gettimeofday () -. t0 in
-    (match stats with
-    | None -> Printf.printf "search: %.3fs\n" wall
-    | Some s ->
-      Printf.printf
-        "search: %.3fs, %d states expanded, %d executions; visited table: %d \
-         distinct, %d dedup hits; %d steals over %d domain(s)\n"
-        wall s.Wo_prog.Enumerate.sf_states s.Wo_prog.Enumerate.sf_executions
-        s.Wo_prog.Enumerate.sf_distinct s.Wo_prog.Enumerate.sf_hits
-        s.Wo_prog.Enumerate.sf_steals
-        (Array.length s.Wo_prog.Enumerate.sf_per_domain));
+    Printf.printf
+      "search: %.3fs, %d states expanded, %d executions; visited table: %d \
+       distinct, %d dedup hits; %d steals over %d domain(s)\n"
+      wall stats.Wo_prog.Enumerate.sf_states
+      stats.Wo_prog.Enumerate.sf_executions
+      stats.Wo_prog.Enumerate.sf_distinct stats.Wo_prog.Enumerate.sf_hits
+      stats.Wo_prog.Enumerate.sf_steals
+      (Array.length stats.Wo_prog.Enumerate.sf_per_domain);
     (match metrics with
     | None -> ()
     | Some path ->
-      let stat_fields =
-        match stats with
-        | None -> []
-        | Some s ->
-          [
-            ("states", Wo_obs.Json.Int s.Wo_prog.Enumerate.sf_states);
-            ("distinct", Wo_obs.Json.Int s.Wo_prog.Enumerate.sf_distinct);
-            ("dedup_hits", Wo_obs.Json.Int s.Wo_prog.Enumerate.sf_hits);
-            ("executions", Wo_obs.Json.Int s.Wo_prog.Enumerate.sf_executions);
-            ("steals", Wo_obs.Json.Int s.Wo_prog.Enumerate.sf_steals);
-          ]
-      in
       let doc =
         Wo_obs.Metrics.make ~experiment:"check"
-          ([
-             ("test", Wo_obs.Json.String test.L.name);
-             ( "strategy",
-               Wo_obs.Json.String
-                 (match strategy with
-                 | `Naive -> "naive"
-                 | `Por -> "por"
-                 | `Stateful -> "stateful") );
-             ( "engine",
-               Wo_obs.Json.String
-                 (match engine with
-                 | Wo_prog.Enumerate.Compiled -> "compiled"
-                 | Wo_prog.Enumerate.Ast -> "ast") );
-             ( "racy",
-               Wo_obs.Json.Bool (match result with Ok () -> false | Error _ -> true)
-             );
-             ("wall_s", Wo_obs.Json.Float wall);
-           ]
-          @ stat_fields)
+          [
+            ("test", Wo_obs.Json.String test.L.name);
+            ( "racy",
+              Wo_obs.Json.Bool (match result with Ok () -> false | Error _ -> true)
+            );
+            ("wall_s", Wo_obs.Json.Float wall);
+            ("states", Wo_obs.Json.Int stats.Wo_prog.Enumerate.sf_states);
+            ("distinct", Wo_obs.Json.Int stats.Wo_prog.Enumerate.sf_distinct);
+            ("dedup_hits", Wo_obs.Json.Int stats.Wo_prog.Enumerate.sf_hits);
+            ( "executions",
+              Wo_obs.Json.Int stats.Wo_prog.Enumerate.sf_executions );
+            ("steals", Wo_obs.Json.Int stats.Wo_prog.Enumerate.sf_steals);
+          ]
       in
       Wo_obs.Metrics.write_file ~path doc;
       Printf.printf "metrics: wrote %s\n" path);
@@ -576,10 +490,8 @@ let check_cmd =
     (Cmd.info "check"
        ~doc:
          "Exhaustively check a litmus program against Definition 3 (DRF0) \
-          with a selectable search strategy")
-    Term.(
-      const run $ test_arg $ strategy_arg $ jobs_arg $ engine_arg
-      $ metrics_arg)
+          by stateful search over its idealized executions")
+    Term.(const run $ test_arg $ jobs_arg $ metrics_arg)
 
 (* --- wo workload ---------------------------------------------------------- *)
 

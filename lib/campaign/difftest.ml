@@ -93,7 +93,10 @@ let case_of_synth (c : Wo_synth.Synth.case) =
 let default_cases ?(family = "cycle-racy") ?(count = 8) () =
   let litmus = List.map case_of_litmus L.all in
   let synth =
-    match Wo_synth.Synth.batch ~family ~base_seed:1 ~count () with
+    match
+      Wo_synth.Synth.batch ~corpus:(Campaign.catalogue_corpus ()) ~family
+        ~base_seed:1 ~count ()
+    with
     | Ok cases -> List.map case_of_synth cases
     | Error e -> invalid_arg (Printf.sprintf "Difftest.default_cases: %s" e)
   in

@@ -66,7 +66,8 @@ val reset : t -> unit
     race tests compare an epoch against one clock component), so any
     order-preserving per-component renumbering of a summary leaves the
     set of reachable races unchanged — the property the canonical state
-    key's rank compression relies on (see [Wo_prog.State_key]). *)
+    key's rank compression relies on
+    (see [Wo_prog.Cinterp.canonical_key]). *)
 
 type loc_summary = {
   ls_loc : Event.loc;

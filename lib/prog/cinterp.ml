@@ -303,8 +303,14 @@ let emit_varint buf n =
   in
   go z
 
-(* Rank compression, as State_key.emit_ranks: order-preserving
-   per-coordinate renumbering of the summary values. *)
+(* Rank compression: map each value to its index in the sorted set of
+   distinct values of its coordinate.  Sound because every future
+   operation of the incremental checker compares summary values only
+   within one processor coordinate (joins are pointwise max, a race test
+   compares a last-access epoch against one clock component), and future
+   epochs are assigned strictly above every tracked value of their
+   coordinate.  So any order-preserving per-coordinate renumbering leaves
+   the set of reachable races unchanged (DESIGN.md section 5). *)
 let emit_ranks buf vals =
   let distinct = List.sort_uniq Int.compare vals in
   let rank v =
@@ -321,10 +327,8 @@ let emit_ranks buf vals =
    remaining compiled code up to a private location renaming (class
    fixes the whole code array up to renaming; pc fixes the suffix) and
    the same register file, so permuting them maps the state to an
-   isomorphic one — the compiled analogue of State_key's
-   thread_signature.  (Coarser in one spot: the AST signature
-   distinguishes an unbound register from one bound to 0; compiled
-   execution cannot, so merging them is sound here.) *)
+   isomorphic one.  (An unbound register and one bound to 0 are the
+   same here: compiled execution cannot tell them apart.) *)
 let signature st p =
   let t = st.prog in
   ( t.P.classes.(p),
@@ -396,8 +400,11 @@ let encode_arrangement st (sm : Inc.summary) order =
   done;
   Buffer.contents buf
 
-(* Arrangements permuting threads within equal-signature groups, capped
-   exactly like State_key.arrangements. *)
+(* Arrangements permuting threads within equal-signature groups, classes
+   kept in sorted-signature order.  Permuting more symmetric threads than
+   [max_arrangements] allows would cost more encodings per state than the
+   orbit collapse saves, so larger orbits fall back to the identity
+   arrangement (sound — only reduction is lost). *)
 let max_arrangements = 24
 
 let arrangements st =

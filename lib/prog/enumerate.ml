@@ -475,14 +475,18 @@ let check_drf0_par ?(strategy = Por) ?model ?(max_events = 64)
 
 (* The tree enumerators above forget where they have been: a state reached
    by two commutation-inequivalent paths is expanded twice, once per path.
-   The stateful enumerators key a visited table ({!Visited}) on canonical
-   encodings ({!State_key}) of the interpreter state, turning the search
-   tree into a DAG — convergent schedules (and, for the DRF0 quantifier,
-   whole symmetry orbits) are expanded once.  Soundness of caching under
-   sleep sets follows Godefroid's discipline: a revisit is pruned only when
-   the cached claim's sleep set is a subset of ours (the cached exploration
-   ran with at most as much pruning); otherwise the entry is widened to the
-   intersection and re-explored. *)
+   The stateful enumerators run the {!Prog_compile}d program on {!Cinterp}
+   and key a visited table ({!Visited}) on its packed state encodings,
+   turning the search tree into a DAG — convergent schedules (and, for the
+   DRF0 quantifier, whole symmetry orbits) are expanded once.  Soundness of
+   caching under sleep sets follows Godefroid's discipline: a revisit is
+   pruned only when the cached claim's sleep set is a subset of ours (the
+   cached exploration ran with at most as much pruning); otherwise the
+   entry is widened to the intersection and re-explored.
+
+   Programs beyond the compiler's packing bounds, and custom
+   synchronization models (no vector-clock summary to hash soundly), are
+   answered by the tree enumerators instead. *)
 
 type stateful_stats = {
   sf_states : int;
@@ -492,6 +496,17 @@ type stateful_stats = {
   sf_steals : int;
   sf_per_domain : int array;
 }
+
+(* The tree fallback's counters in stateful shape: no table, one domain. *)
+let stateful_of_tree (s : stats) =
+  {
+    sf_states = s.states;
+    sf_distinct = 0;
+    sf_hits = 0;
+    sf_executions = s.executions;
+    sf_steals = 0;
+    sf_per_domain = [| s.states |];
+  }
 
 let emit_stateful_obs ~name (s : stateful_stats) =
   let r = Wo_obs.Recorder.active () in
@@ -507,17 +522,9 @@ let emit_stateful_obs ~name (s : stateful_stats) =
     Array.iteri (fun i v -> c i (name ^ ".domain_expanded") v) s.sf_per_domain
   end
 
-(* Two execution engines share every stateful walk: the AST interpreter
-   (the oracle) and the compiled interpreter (the default — int-coded
-   ops, packed keys).  [Compiled] silently falls back to the AST path
-   when the program exceeds a compilation bound
-   ({!Prog_compile.compilable}), so the observable behaviour never
-   depends on the engine. *)
-type engine = Compiled | Ast
-
-(* Compiled mirrors of [drain_silent]/[children_of].  [Cinterp.peek]
-   returns the same {!Interp.access} record, so the independence test
-   ([dependent]) is shared verbatim. *)
+(* Compiled mirrors of [drain_silent]/[children_of] (always reduced).
+   [Cinterp.peek] returns the same {!Interp.access} record, so the
+   independence test ([dependent]) is shared verbatim. *)
 let rec c_drain_silent state =
   let silent =
     List.find_map
@@ -528,47 +535,38 @@ let rec c_drain_silent state =
   in
   match silent with None -> state | Some state' -> c_drain_silent state'
 
-let c_children_of ~strategy state sleep =
+let c_children_of state sleep =
   let procs = Cinterp.runnable state in
   match procs with
   | [] -> None
   | _ ->
-    Some
-      (match strategy with
-      | Naive ->
-        List.map
-          (fun p ->
-            let state', ev = Cinterp.step state p in
-            (state', ev, 0))
-          procs
-      | Por ->
-        let pending =
-          List.map (fun p -> (p, Option.get (Cinterp.peek state p))) procs
-        in
-        let runnable_mask =
-          List.fold_left (fun m (p, _) -> m lor (1 lsl p)) 0 pending
-        in
-        let sleep = sleep land runnable_mask in
-        let rec expand sleep_now acc = function
-          | [] -> List.rev acc
-          | (p, ap) :: rest ->
-            if sleep land (1 lsl p) <> 0 then expand sleep_now acc rest
-            else
-              let child_sleep =
-                List.fold_left
-                  (fun m (q, aq) ->
-                    if sleep_now land (1 lsl q) <> 0 && not (dependent ap aq)
-                    then m lor (1 lsl q)
-                    else m)
-                  0 pending
-              in
-              let state', ev = Cinterp.step state p in
-              expand
-                (sleep_now lor (1 lsl p))
-                ((state', ev, child_sleep) :: acc)
-                rest
-        in
-        expand sleep [] pending)
+    let pending =
+      List.map (fun p -> (p, Option.get (Cinterp.peek state p))) procs
+    in
+    let runnable_mask =
+      List.fold_left (fun m (p, _) -> m lor (1 lsl p)) 0 pending
+    in
+    let sleep = sleep land runnable_mask in
+    let rec expand sleep_now acc = function
+      | [] -> List.rev acc
+      | (p, ap) :: rest ->
+        if sleep land (1 lsl p) <> 0 then expand sleep_now acc rest
+        else
+          let child_sleep =
+            List.fold_left
+              (fun m (q, aq) ->
+                if sleep_now land (1 lsl q) <> 0 && not (dependent ap aq)
+                then m lor (1 lsl q)
+                else m)
+              0 pending
+          in
+          let state', ev = Cinterp.step state p in
+          expand
+            (sleep_now lor (1 lsl p))
+            ((state', ev, child_sleep) :: acc)
+            rest
+    in
+    Some (expand sleep [] pending)
 
 (* Trace counters for the compiled path: throughput plus the off-heap
    table's footprint and probe-length histogram (one counter per log2
@@ -589,71 +587,12 @@ let emit_compiled_obs ~elapsed ~tbl (s : stateful_stats) =
     Array.iteri (fun i v -> c i "visited.probe_len" v) (Visited.probe_hist tbl)
   end
 
-let ast_outcomes_stateful ~strategy ~max_events ~max_executions ~num_domains
-    program =
+let c_outcomes_stateful ~max_events ~max_executions ~num_domains cp =
+  let t0 = Unix.gettimeofday () in
   let tbl = Visited.create () in
   let leaves = Atomic.make 0 in
   (* Per-worker slots are written only by their owner and read after the
      scheduler joins every domain, so plain arrays are race-free. *)
-  let per_domain = Array.make num_domains 0 in
-  let outs = Array.make num_domains Outcome_set.empty in
-  let wstats =
-    Wsq.run ~domains:num_domains
-      ~roots:[ (Interp.init program, 0) ]
-      (fun ~worker ~push ~hungry ~halt:_ (state0, sleep0) ->
-        let rec go state sleep =
-          let state = drain_silent state in
-          if Interp.events_so_far state > max_events then raise Limit_exceeded;
-          (* Outcomes name concrete processors and locations, so the key is
-             the exact snapshot — no symmetry quotient.  A skipped state's
-             subtree (restricted by a sleep subset of ours) has already fed
-             every outcome it can reach into some worker's accumulator. *)
-          match
-            Visited.try_claim tbl (State_key.exact (Interp.view state)) sleep
-          with
-          | `Skip -> ()
-          | `Explore sleep -> (
-            per_domain.(worker) <- per_domain.(worker) + 1;
-            match children_of ~strategy state sleep with
-            | None ->
-              if Atomic.fetch_and_add leaves 1 >= max_executions then
-                raise Limit_exceeded;
-              outs.(worker) <- Outcome_set.add (Interp.outcome state) outs.(worker)
-            | Some kids -> (
-              let tasks = List.map (fun (s, _ev, sl) -> (s, sl)) kids in
-              match tasks with
-              | (s1, sl1) :: (_ :: _ as rest) when hungry () ->
-                (* expose siblings for stealing, recurse into the first *)
-                List.iter push rest;
-                go s1 sl1
-              | tasks -> List.iter (fun (s, sl) -> go s sl) tasks))
-        in
-        go state0 sleep0)
-  in
-  let outcomes =
-    Array.fold_left Outcome_set.union Outcome_set.empty outs
-  in
-  let stats =
-    {
-      sf_states = Array.fold_left ( + ) 0 per_domain;
-      sf_distinct = Visited.size tbl;
-      sf_hits = Visited.hits tbl;
-      sf_executions = Atomic.get leaves;
-      sf_steals = wstats.Wsq.steals;
-      sf_per_domain = per_domain;
-    }
-  in
-  emit_stateful_obs ~name:"stateful.outcomes" stats;
-  (Outcome_set.elements outcomes, stats)
-
-(* The compiled twin: same scheduler, same claim discipline, but
-   Cinterp states and packed exact keys.  Outcome sets are identical to
-   the AST path's (each engine's dedup is sound for its own state
-   space, and the two state spaces generate the same executions). *)
-let c_outcomes_stateful ~strategy ~max_events ~max_executions ~num_domains cp =
-  let t0 = Unix.gettimeofday () in
-  let tbl = Visited.create () in
-  let leaves = Atomic.make 0 in
   let per_domain = Array.make num_domains 0 in
   let outs = Array.make num_domains Outcome_set.empty in
   let wstats =
@@ -664,11 +603,15 @@ let c_outcomes_stateful ~strategy ~max_events ~max_executions ~num_domains cp =
           let state = c_drain_silent state in
           if Cinterp.events_so_far state > max_events then
             raise Limit_exceeded;
+          (* Outcomes name concrete processors and locations, so the key is
+             the exact snapshot — no symmetry quotient.  A skipped state's
+             subtree (restricted by a sleep subset of ours) has already fed
+             every outcome it can reach into some worker's accumulator. *)
           match Visited.try_claim tbl (Cinterp.exact_key state) sleep with
           | `Skip -> ()
           | `Explore sleep -> (
             per_domain.(worker) <- per_domain.(worker) + 1;
-            match c_children_of ~strategy state sleep with
+            match c_children_of state sleep with
             | None ->
               if Atomic.fetch_and_add leaves 1 >= max_executions then
                 raise Limit_exceeded;
@@ -678,6 +621,7 @@ let c_outcomes_stateful ~strategy ~max_events ~max_executions ~num_domains cp =
               let tasks = List.map (fun (s, _ev, sl) -> (s, sl)) kids in
               match tasks with
               | (s1, sl1) :: (_ :: _ as rest) when hungry () ->
+                (* expose siblings for stealing, recurse into the first *)
                 List.iter push rest;
                 go s1 sl1
               | tasks -> List.iter (fun (s, sl) -> go s sl) tasks))
@@ -699,88 +643,26 @@ let c_outcomes_stateful ~strategy ~max_events ~max_executions ~num_domains cp =
   emit_compiled_obs ~elapsed:(Unix.gettimeofday () -. t0) ~tbl stats;
   (Outcome_set.elements outcomes, stats)
 
-let outcomes_stateful ?(engine = Compiled) ?(strategy = Por) ?(max_events = 64)
-    ?(max_executions = 1_000_000) ?domains program =
+let outcomes_stateful ?(max_events = 64) ?(max_executions = 1_000_000)
+    ?domains program =
   bitset_guard program;
   let num_domains =
     match domains with Some d -> max 1 d | None -> default_domains ()
   in
-  match
-    match engine with Compiled -> Prog_compile.compile program | Ast -> None
-  with
-  | Some cp ->
-    c_outcomes_stateful ~strategy ~max_events ~max_executions ~num_domains cp
+  match Prog_compile.compile program with
+  | Some cp -> c_outcomes_stateful ~max_events ~max_executions ~num_domains cp
   | None ->
-    ast_outcomes_stateful ~strategy ~max_events ~max_executions ~num_domains
-      program
+    let outcomes, stats =
+      collect_outcomes ~strategy:Por ~max_events ~max_executions
+        ~raise_on_limit:true program
+    in
+    (outcomes, stateful_of_tree stats)
 
 (* Internal signal: a race was found; carries the closure-checked report of
    the completed racy execution. *)
 exception Racy_state of Wo_core.Drf0.report
 
-let stateful_racy ?model ~max_events state =
-  let completed = complete_for_report ~max_events state in
-  raise (Racy_state (Wo_core.Drf0.check ?model (Interp.execution completed)))
-
-(* One DAG walk from [root]; [inc] must agree with the path to [root].
-   [offload] may hand sibling subtrees to the scheduler (returning true)
-   instead of having them explored inline. *)
-let drf0_dag_walk ~strategy ~symmetry ?model ~max_events ~max_executions ~tbl
-    ~leaves ~on_node ~offload inc root root_sleep =
-  let rec go state sleep =
-    let state = drain_silent state in
-    if Interp.events_so_far state > max_events then raise Limit_exceeded;
-    (* The DRF0 verdict is isomorphism-invariant, so the key quotients by
-       processor symmetry and location renaming; the arrangement [order]
-       transports the sleep bitset into canonical coordinates and back. *)
-    let key, order =
-      State_key.canonical ~symmetry (Interp.view state)
-        (Wo_core.Drf0_inc.summary inc)
-    in
-    match Visited.try_claim tbl key (State_key.map_sleep ~order sleep) with
-    | `Skip -> ()
-    | `Explore canon_sleep -> (
-      on_node ();
-      let sleep = State_key.unmap_sleep ~order canon_sleep in
-      match children_of ~strategy state sleep with
-      | None ->
-        if Atomic.fetch_and_add leaves 1 >= max_executions then
-          raise Limit_exceeded
-      | Some kids -> (
-        let explore (state', ev, sleep') =
-          match ev with
-          | None -> go state' sleep'
-          | Some e -> (
-            match Wo_core.Drf0_inc.push inc e with
-            | Some _race -> stateful_racy ?model ~max_events state'
-            | None ->
-              go state' sleep';
-              Wo_core.Drf0_inc.pop inc)
-        in
-        match kids with
-        | first :: (_ :: _ as rest) when offload rest -> explore first
-        | kids -> List.iter explore kids))
-  in
-  go root root_sleep
-
-(* A task handed to the scheduler carries only the interpreter state; the
-   incremental checker is rebuilt by replaying the path's events (the same
-   move [check_root_inc] makes for frontier roots).  The replay cannot race
-   for tasks spawned by a walk — every edge was checked before its subtree
-   was offloaded — but a defensive check costs nothing. *)
-let replay_task ?model ~mode ~nprocs ~max_events state =
-  let inc = Wo_core.Drf0_inc.create ~mode ~nprocs () in
-  List.iter
-    (fun e ->
-      match Wo_core.Drf0_inc.push inc e with
-      | None -> ()
-      | Some _race -> stateful_racy ?model ~max_events state)
-    (Wo_core.Execution.events (Interp.execution state));
-  inc
-
-(* Compiled twins of the DRF0 walk machinery.  Identical discipline;
-   only the interpreter and the canonical key construction differ, and
-   the sleep transport reuses State_key's arrangement maps. *)
+(* Complete a racy prefix for the report, as [complete_for_report]. *)
 let c_complete_for_report ~max_events state =
   let rec go state rot budget =
     if budget = 0 then state
@@ -797,20 +679,43 @@ let c_stateful_racy ?model ~max_events state =
   let completed = c_complete_for_report ~max_events state in
   raise (Racy_state (Wo_core.Drf0.check ?model (Cinterp.execution completed)))
 
-let c_drf0_dag_walk ~strategy ~symmetry ?model ~max_events ~max_executions
-    ~tbl ~leaves ~on_node ~offload inc root root_sleep =
+(* Sleep-set transport under a canonical arrangement ({!Cinterp.canonical_key}):
+   [order.(i)] is the concrete processor at canonical position [i], so bit
+   [p] of a concrete sleep set becomes bit [i] of the canonical one. *)
+let map_sleep ~order sleep =
+  let canon = ref 0 in
+  Array.iteri
+    (fun i p -> if sleep land (1 lsl p) <> 0 then canon := !canon lor (1 lsl i))
+    order;
+  !canon
+
+let unmap_sleep ~order canon =
+  let sleep = ref 0 in
+  Array.iteri
+    (fun i p -> if canon land (1 lsl i) <> 0 then sleep := !sleep lor (1 lsl p))
+    order;
+  !sleep
+
+(* One DAG walk from [root]; [inc] must agree with the path to [root].
+   [offload] may hand sibling subtrees to the scheduler (returning true)
+   instead of having them explored inline. *)
+let c_drf0_dag_walk ~symmetry ?model ~max_events ~max_executions ~tbl ~leaves
+    ~on_node ~offload inc root root_sleep =
   let rec go state sleep =
     let state = c_drain_silent state in
     if Cinterp.events_so_far state > max_events then raise Limit_exceeded;
+    (* The DRF0 verdict is isomorphism-invariant, so the key quotients by
+       processor symmetry and location renaming; the arrangement [order]
+       transports the sleep bitset into canonical coordinates and back. *)
     let key, order =
       Cinterp.canonical_key ~symmetry state (Wo_core.Drf0_inc.summary inc)
     in
-    match Visited.try_claim tbl key (State_key.map_sleep ~order sleep) with
+    match Visited.try_claim tbl key (map_sleep ~order sleep) with
     | `Skip -> ()
     | `Explore canon_sleep -> (
       on_node ();
-      let sleep = State_key.unmap_sleep ~order canon_sleep in
-      match c_children_of ~strategy state sleep with
+      let sleep = unmap_sleep ~order canon_sleep in
+      match c_children_of state sleep with
       | None ->
         if Atomic.fetch_and_add leaves 1 >= max_executions then
           raise Limit_exceeded
@@ -831,6 +736,11 @@ let c_drf0_dag_walk ~strategy ~symmetry ?model ~max_events ~max_executions
   in
   go root root_sleep
 
+(* A task handed to the scheduler carries only the interpreter state; the
+   incremental checker is rebuilt by replaying the path's events (the same
+   move [check_root_inc] makes for frontier roots).  The replay cannot race
+   for tasks spawned by a walk — every edge was checked before its subtree
+   was offloaded — but a defensive check costs nothing. *)
 let c_replay_task ?model ~mode ~nprocs ~max_events state =
   let inc = Wo_core.Drf0_inc.create ~mode ~nprocs () in
   List.iter
@@ -841,26 +751,25 @@ let c_replay_task ?model ~mode ~nprocs ~max_events state =
     (Wo_core.Execution.events (Cinterp.execution state));
   inc
 
-(* Compiled check: the same sequential-rerun discipline as the AST path,
-   so racy reports are deterministic across domain counts — and equal to
-   the AST path's, because both sequential walks visit children in tree
-   order with identical events, and a skipped subtree's states were
-   fully explored (race-free) earlier in DFS order. *)
-let c_check_drf0_stateful ~strategy ?model ~symmetry ~max_events
-    ~max_executions ~num_domains ~mode cp =
+(* Sequential walks visit children in tree order with one incremental
+   checker riding the DFS, so the first racy prefix found — and hence the
+   report — coincides with [check_drf0]'s (a skipped subtree's states were
+   fully explored, race-free, earlier in DFS order).  Parallel walks that
+   find a race re-search sequentially, so reports are deterministic across
+   domain counts. *)
+let c_check_drf0_stateful ?model ~symmetry ~max_events ~max_executions
+    ~num_domains ~mode cp =
   let t0 = Unix.gettimeofday () in
   let nprocs = cp.Prog_compile.nprocs in
-  let final_tbl = ref None in
   let run_seq () =
     let tbl = Visited.create () in
-    final_tbl := Some tbl;
     let leaves = Atomic.make 0 in
     let states = ref 0 in
     let inc = Wo_core.Drf0_inc.create ~mode ~nprocs () in
     let result =
       try
-        c_drf0_dag_walk ~strategy ~symmetry ?model ~max_events ~max_executions
-          ~tbl ~leaves
+        c_drf0_dag_walk ~symmetry ?model ~max_events ~max_executions ~tbl
+          ~leaves
           ~on_node:(fun () -> incr states)
           ~offload:(fun _ -> false)
           inc (Cinterp.init cp) 0;
@@ -875,13 +784,13 @@ let c_check_drf0_stateful ~strategy ?model ~symmetry ~max_events
         sf_executions = Atomic.get leaves;
         sf_steals = 0;
         sf_per_domain = [| !states |];
-      } )
+      },
+      tbl )
   in
-  let result, stats =
+  let result, stats, tbl =
     if num_domains = 1 then run_seq ()
     else begin
       let tbl = Visited.create () in
-      final_tbl := Some tbl;
       let leaves = Atomic.make 0 in
       let per_domain = Array.make num_domains 0 in
       let par =
@@ -893,8 +802,8 @@ let c_check_drf0_stateful ~strategy ?model ~symmetry ~max_events
                  let inc =
                    c_replay_task ?model ~mode ~nprocs ~max_events state0
                  in
-                 c_drf0_dag_walk ~strategy ~symmetry ?model ~max_events
-                   ~max_executions ~tbl ~leaves
+                 c_drf0_dag_walk ~symmetry ?model ~max_events ~max_executions
+                   ~tbl ~leaves
                    ~on_node:(fun () ->
                      per_domain.(worker) <- per_domain.(worker) + 1)
                    ~offload:(fun rest ->
@@ -915,123 +824,33 @@ let c_check_drf0_stateful ~strategy ?model ~symmetry ~max_events
             sf_executions = Atomic.get leaves;
             sf_steals = wstats.Wsq.steals;
             sf_per_domain = per_domain;
-          } )
-      | Error () -> run_seq ()
+          },
+          tbl )
+      | Error () ->
+        (* A race exists.  Which worker saw one first is timing-dependent,
+           so re-search sequentially on a fresh table: the verdict is
+           already known, the rerun only makes the reported execution
+           deterministic across domain counts.  (The parallel table is
+           unusable after a halt — its claims no longer imply coverage.) *)
+        run_seq ()
     end
   in
   emit_stateful_obs ~name:"stateful.drf0" stats;
-  (match !final_tbl with
-  | Some tbl ->
-    emit_compiled_obs ~elapsed:(Unix.gettimeofday () -. t0) ~tbl stats
-  | None -> ());
+  emit_compiled_obs ~elapsed:(Unix.gettimeofday () -. t0) ~tbl stats;
   (result, stats)
 
-let check_drf0_stateful ?(engine = Compiled) ?(strategy = Por) ?model
-    ?(symmetry = true) ?(max_events = 64) ?(max_executions = 1_000_000)
-    ?domains program =
+let check_drf0_stateful ?model ?(symmetry = true) ?(max_events = 64)
+    ?(max_executions = 1_000_000) ?domains program =
   bitset_guard program;
   let num_domains =
     match domains with Some d -> max 1 d | None -> default_domains ()
   in
-  match incremental_mode model with
-  | None ->
-    (* Custom synchronization model: there is no vector-clock summary to
-       hash soundly, so fall back to the closure-based tree oracle. *)
-    let result, (s : stats) =
-      check_drf0_closure_with_stats ~strategy ?model ~max_events
-        ~max_executions program
-    in
-    ( result,
-      {
-        sf_states = s.states;
-        sf_distinct = 0;
-        sf_hits = 0;
-        sf_executions = s.executions;
-        sf_steals = 0;
-        sf_per_domain = [| s.states |];
-      } )
-  | Some mode
-    when (match engine with Compiled -> true | Ast -> false)
-         && Prog_compile.compilable program ->
-    let cp = Option.get (Prog_compile.compile program) in
-    c_check_drf0_stateful ~strategy ?model ~symmetry ~max_events
-      ~max_executions ~num_domains ~mode cp
-  | Some mode ->
-    let nprocs = Program.num_procs program in
-    (* Sequential walk: one incremental checker rides the DFS (no replay),
-       children explored in tree order, so the first racy prefix found —
-       and hence the report — coincides with [check_drf0]'s. *)
-    let run_seq () =
-      let tbl = Visited.create () in
-      let leaves = Atomic.make 0 in
-      let states = ref 0 in
-      let inc = Wo_core.Drf0_inc.create ~mode ~nprocs () in
-      let result =
-        try
-          drf0_dag_walk ~strategy ~symmetry ?model ~max_events ~max_executions
-            ~tbl ~leaves
-            ~on_node:(fun () -> incr states)
-            ~offload:(fun _ -> false)
-            inc (Interp.init program) 0;
-          Ok ()
-        with Racy_state r -> Error r
-      in
-      ( result,
-        {
-          sf_states = !states;
-          sf_distinct = Visited.size tbl;
-          sf_hits = Visited.hits tbl;
-          sf_executions = Atomic.get leaves;
-          sf_steals = 0;
-          sf_per_domain = [| !states |];
-        } )
-    in
+  match (incremental_mode model, Prog_compile.compile program) with
+  | Some mode, Some cp ->
+    c_check_drf0_stateful ?model ~symmetry ~max_events ~max_executions
+      ~num_domains ~mode cp
+  | _ ->
     let result, stats =
-      if num_domains = 1 then run_seq ()
-      else begin
-        let tbl = Visited.create () in
-        let leaves = Atomic.make 0 in
-        let per_domain = Array.make num_domains 0 in
-        let par =
-          try
-            Ok
-              (Wsq.run ~domains:num_domains
-                 ~roots:[ (Interp.init program, 0) ]
-                 (fun ~worker ~push ~hungry ~halt:_ (state0, sleep0) ->
-                   let inc =
-                     replay_task ?model ~mode ~nprocs ~max_events state0
-                   in
-                   drf0_dag_walk ~strategy ~symmetry ?model ~max_events
-                     ~max_executions ~tbl ~leaves
-                     ~on_node:(fun () ->
-                       per_domain.(worker) <- per_domain.(worker) + 1)
-                     ~offload:(fun rest ->
-                       hungry ()
-                       &&
-                       (List.iter (fun (s, _ev, sl) -> push (s, sl)) rest;
-                        true))
-                     inc state0 sleep0))
-          with Racy_state _ -> Error ()
-        in
-        match par with
-        | Ok wstats ->
-          ( Ok (),
-            {
-              sf_states = Array.fold_left ( + ) 0 per_domain;
-              sf_distinct = Visited.size tbl;
-              sf_hits = Visited.hits tbl;
-              sf_executions = Atomic.get leaves;
-              sf_steals = wstats.Wsq.steals;
-              sf_per_domain = per_domain;
-            } )
-        | Error () ->
-          (* A race exists.  Which worker saw one first is timing-dependent,
-             so re-search sequentially on a fresh table: the verdict is
-             already known, the rerun only makes the reported execution
-             deterministic across domain counts.  (The parallel table is
-             unusable after a halt — its claims no longer imply coverage.) *)
-          run_seq ()
-      end
+      check_drf0_with_stats ?model ~max_events ~max_executions program
     in
-    emit_stateful_obs ~name:"stateful.drf0" stats;
-    (result, stats)
+    (result, stateful_of_tree stats)

@@ -8,7 +8,7 @@
     (it commutes), so the branching factor is the number of processors with
     a pending memory operation.
 
-    Three enumerators, of increasing aggression:
+    Four enumerators, of increasing aggression:
 
     - {b Naive} ({!executions}, [~strategy:Naive]): every interleaving,
       once.  Exponential, by design; the oracle the others are tested
@@ -24,11 +24,14 @@
       the (naive or reduced) search tree is split across OCaml 5 [Domain]s;
       per-domain results are merged at the end.
     - {b Stateful} ({!outcomes_stateful}, {!check_drf0_stateful}): the
-      search {e tree} becomes a DAG — a visited table keyed on canonical
-      state encodings ({!State_key}) merges convergent schedules, the DRF0
-      quantifier additionally quotients by processor/location symmetry, and
-      parallel runs use a work-stealing scheduler ({!Wsq}) instead of a
-      static root split.
+      reduced search {e tree} becomes a DAG — the program is run compiled
+      ({!Prog_compile}, {!Cinterp}) and a visited table keyed on packed
+      state encodings merges convergent schedules, the DRF0 quantifier
+      additionally quotients by processor/location symmetry, and parallel
+      runs use a work-stealing scheduler ({!Wsq}) instead of a static root
+      split.  The production path; the tree enumerators above are the
+      oracles it is tested against, and answer the inputs it cannot
+      (uncompilable programs, custom synchronization models).
 
     Programs with loops can have unboundedly many executions — bound them
     with [max_events] and check [truncated]. *)
@@ -148,17 +151,6 @@ val check_drf0_par :
 
 (** {2 Stateful (DAG) exploration} *)
 
-type engine =
-  | Compiled
-      (** execute the {!Prog_compile}d program with {!Cinterp} and key
-          the visited table on packed int encodings — the default hot
-          path.  Programs the compiler cannot lower (see
-          {!Prog_compile.compilable}) fall back to [Ast]
-          automatically, so the choice never changes observable
-          results. *)
-  | Ast  (** the persistent {!Interp} with {!State_key} encodings — the
-             oracle the compiled path is differentially tested against *)
-
 type stateful_stats = {
   sf_states : int;  (** DAG nodes expanded (tree re-expansions merged away) *)
   sf_distinct : int;  (** distinct states in the visited table *)
@@ -167,42 +159,50 @@ type stateful_stats = {
   sf_steals : int;  (** successful work-steals (parallel runs) *)
   sf_per_domain : int array;  (** DAG nodes expanded per domain *)
 }
+(** Search-effort counters of the stateful enumerators.  When a call is
+    answered by the tree fallback, [sf_states]/[sf_executions] are the
+    tree's counters, the table counters are 0 and [sf_per_domain] has one
+    entry. *)
 
 val outcomes_stateful :
-  ?engine:engine ->
-  ?strategy:strategy -> ?max_events:int -> ?max_executions:int ->
+  ?max_events:int -> ?max_executions:int ->
   ?domains:int -> Program.t -> Outcome.t list * stateful_stats
-(** {!outcomes} as a DAG search: states are claimed in a visited table
-    keyed on exact structural snapshots ({!State_key.exact} for [Ast],
-    {!Cinterp.exact_key} for the default [Compiled]), so schedules
-    converging on the same state expand it once.  The outcome set is
-    identical to {!outcomes} for every [engine], [strategy] and [domains] value
-    (outcome collection commutes with dedup: a pruned subtree's outcomes
-    were all reached from the first visit).  [domains > 1] explores under a
-    work-stealing scheduler with a shared sharded table; [max_executions]
-    is a global bound, not per-domain.  @raise Limit_exceeded as for
-    {!executions}. *)
+(** {!outcomes} as a DAG search under partial-order reduction: the
+    program is run {!Prog_compile}d on {!Cinterp}, and states are claimed
+    in a visited table keyed on exact packed snapshots
+    ({!Cinterp.exact_key}), so schedules converging on the same state
+    expand it once.  The outcome set is identical to {!outcomes} for
+    every [domains] value (outcome collection commutes with dedup: a
+    pruned subtree's outcomes were all reached from the first visit).
+    [domains > 1] explores under a work-stealing scheduler with a shared
+    sharded table; [max_executions] is a global bound, not per-domain.
+
+    Programs beyond the compiler's packing bounds (see
+    {!Prog_compile.compilable}) are answered by the tree enumerator
+    instead: the result is {!outcomes}'s, bounds included.
+    @raise Limit_exceeded as for {!executions}. *)
 
 val check_drf0_stateful :
-  ?engine:engine ->
-  ?strategy:strategy ->
   ?model:Wo_core.Sync_model.t ->
   ?symmetry:bool ->
   ?max_events:int -> ?max_executions:int ->
   ?domains:int -> Program.t ->
   (unit, Wo_core.Drf0.report) result * stateful_stats
-(** Definition 3 as a DAG search.  The visited table is keyed on
-    canonical encodings ({!State_key.canonical} for [Ast],
-    {!Cinterp.canonical_key} for the default [Compiled]) — interpreter state plus the
-    incremental checker's happens-before summary, quotiented by the
-    isomorphisms the verdict cannot observe: location renaming, permutation
-    of symmetric processors ([symmetry], default [true]; Dekker-style
-    mirrored programs collapse onto one orbit representative), and
-    per-coordinate rank compression of the clocks.  The verdict always
-    equals {!check_drf0}'s; on racy programs the report is identical too —
+(** Definition 3 as a DAG search under partial-order reduction.  The
+    visited table is keyed on canonical encodings
+    ({!Cinterp.canonical_key}) — interpreter state plus the incremental
+    checker's happens-before summary, quotiented by the isomorphisms the
+    verdict cannot observe: location renaming, permutation of symmetric
+    processors ([symmetry], default [true]; Dekker-style mirrored
+    programs collapse onto one orbit representative), and per-coordinate
+    rank compression of the clocks.  The verdict always equals
+    {!check_drf0}'s; on racy programs the report is identical too —
     sequential walks visit children in tree order so the same first racy
     prefix is found (pruned subtrees are race-free), and parallel walks
     re-search sequentially once a race is known, so the report is
-    deterministic across [domains].  Custom models (no incremental mode)
-    fall back to the closure tree oracle.  [max_executions] is a global
-    bound.  @raise Limit_exceeded as for {!executions}. *)
+    deterministic across [domains].  [max_executions] is a global bound.
+
+    Programs beyond the compiler's packing bounds and custom models (no
+    incremental mode, so no summary to hash) are answered by the tree
+    checker instead: the result is {!check_drf0_with_stats}'s.
+    @raise Limit_exceeded as for {!executions}. *)

@@ -166,21 +166,6 @@ let step state proc =
 let memory state =
   List.map (fun l -> (l, read_mem state l)) (Program.locs state.program)
 
-type view = {
-  v_envs : (Instr.reg * int) list array;
-  v_codes : Instr.t list array;
-  v_memory : (Wo_core.Event.loc * Wo_core.Event.value) list;
-  v_events : int;
-}
-
-let view state =
-  {
-    v_envs = Array.map (fun th -> Int_map.bindings th.env) state.threads;
-    v_codes = Array.map (fun th -> th.code) state.threads;
-    v_memory = memory state;
-    v_events = state.next_event_id;
-  }
-
 let events_so_far state = state.next_event_id
 
 let outcome state =

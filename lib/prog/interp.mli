@@ -47,22 +47,6 @@ val memory : state -> (Wo_core.Event.loc * Wo_core.Event.value) list
 
 val events_so_far : state -> int
 
-type view = {
-  v_envs : (Instr.reg * int) list array;
-      (** per processor, register bindings sorted by register *)
-  v_codes : Instr.t list array;  (** remaining code per processor *)
-  v_memory : (Wo_core.Event.loc * Wo_core.Event.value) list;
-      (** effective memory over the program's locations, sorted *)
-  v_events : int;  (** memory events performed so far *)
-}
-
-val view : state -> view
-(** A structural snapshot of everything the future behaviour of [state]
-    depends on (plus the event count, which fixes the remaining
-    [max_events] budget).  Two states with equal views generate
-    identical subtrees of executions — the foundation of the stateful
-    enumerator's visited table ({!State_key}). *)
-
 val outcome : state -> Outcome.t
 (** Outcome of a finished (or partial) state: observable registers plus
     memory. *)

@@ -12,8 +12,7 @@
 
    - symmetry classes: threads whose compiled code is identical up to a
      private location renaming (and that name the same source registers)
-     can be permuted by the DRF0 canonical key, exactly like the
-     thread-signature classes of the AST path (State_key);
+     can be permuted by the DRF0 canonical key;
    - live locations per program point: the locations reachable from
      each pc in the thread's control-flow graph, in a deterministic
      first-occurrence order — the renaming stream for canonical keys,

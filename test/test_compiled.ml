@@ -2,8 +2,8 @@
    int-machine, packed state keys, and the off-heap visited table.  The
    contract is equivalence — the compiled interpreter must be
    observationally identical to the AST interpreter (its oracle) under
-   every schedule, and the stateful enumerator must produce identical
-   results under either engine.  The key/table tests pin the packing and
+   every schedule, and the stateful enumerator built on it must produce
+   the tree enumerators' results.  The key/table tests pin the packing and
    claim disciplines the enumerator's soundness rests on. *)
 
 module I = Wo_prog.Instr
@@ -181,71 +181,88 @@ let test_exact_key_distinguishes_event_count () =
 
 (* --- engine identity in the enumerator -------------------------------------- *)
 
+(* The compiled stateful walk is the production enumerator; the tree
+   enumerators are its oracles. *)
 let prop_engines_agree_on_outcomes =
   QCheck.Test.make
-    ~name:"outcomes_stateful: compiled engine equals AST engine"
+    ~name:"outcomes_stateful: compiled engine equals the naive tree oracle"
     ~count:40 QCheck.small_int (fun pseed ->
       let program =
         Wo_litmus.Random_prog.racy ~seed:pseed ~procs:2 ~ops_per_proc:3
           ~locs:2 ()
       in
-      let reference, _ = En.outcomes_stateful ~engine:En.Ast ~domains:1 program in
+      let reference = En.outcomes ~strategy:En.Naive program in
       List.for_all
         (fun domains ->
           outcome_sets_equal reference
-            (fst (En.outcomes_stateful ~engine:En.Compiled ~domains program)))
+            (fst (En.outcomes_stateful ~domains program)))
         [ 1; 3 ])
 
 let prop_engines_agree_on_drf0 =
   QCheck.Test.make
     ~name:
       "check_drf0_stateful: compiled engine's verdict and racy report \
-       equal the AST engine's, with and without symmetry"
+       equal the tree checker's, with and without symmetry"
     ~count:30 QCheck.small_int (fun pseed ->
       let program =
         Wo_litmus.Random_prog.racy ~seed:pseed ~procs:2 ~ops_per_proc:3
           ~locs:2 ()
       in
-      let reference, _ =
-        En.check_drf0_stateful ~engine:En.Ast ~domains:1 program
-      in
+      let reference = En.check_drf0 program in
       List.for_all
         (fun (symmetry, domains) ->
           reports_agree reference
-            (fst
-               (En.check_drf0_stateful ~engine:En.Compiled ~symmetry ~domains
-                  program)))
-        [ (true, 1); (false, 1); (true, 3) ])
+            (fst (En.check_drf0_stateful ~symmetry ~domains program)))
+        [ (true, 1); (false, 1); (true, 3); (false, 3) ])
 
 let test_engines_agree_on_litmus () =
   List.iter
     (fun program ->
-      let ast_outs, _ = En.outcomes_stateful ~engine:En.Ast program in
-      let c_outs, _ = En.outcomes_stateful ~engine:En.Compiled program in
-      check "litmus outcome sets equal across engines" true
-        (outcome_sets_equal ast_outs c_outs);
-      let ast_r, _ = En.check_drf0_stateful ~engine:En.Ast program in
-      let c_r, _ = En.check_drf0_stateful ~engine:En.Compiled program in
-      check "litmus DRF0 reports equal across engines" true
-        (reports_agree ast_r c_r))
+      let tree_outs = En.outcomes ~strategy:En.Naive program in
+      let c_outs, _ = En.outcomes_stateful program in
+      check "litmus outcome sets equal the tree oracle's" true
+        (outcome_sets_equal tree_outs c_outs);
+      let tree_r = En.check_drf0 program in
+      let c_r, _ = En.check_drf0_stateful program in
+      check "litmus DRF0 reports equal the tree checker's" true
+        (reports_agree tree_r c_r))
     litmus_programs
 
 let test_uncompilable_falls_back () =
-  (* Beyond the packing bounds the compiled engine must silently fall
-     back to the AST path rather than fail.  A single thread one op past
-     the per-thread op-count bound is uncompilable yet trivially
+  (* Beyond the packing bounds the stateful entry points must answer
+     through the tree enumerators rather than fail.  A single thread one
+     op past the per-thread op-count bound is uncompilable yet trivially
      enumerable (one schedule, one chain of states). *)
   let ops = 2049 in
   let p = P.make [ List.init ops (fun _ -> I.Write (0, I.Const 1)) ] in
   check "program is beyond compiler bounds" false (PC.compilable p);
-  let outs, _ =
-    En.outcomes_stateful ~engine:En.Compiled ~domains:1 ~max_events:(ops + 1) p
-  in
-  let reference, _ =
-    En.outcomes_stateful ~engine:En.Ast ~domains:1 ~max_events:(ops + 1) p
-  in
-  check "fallback produces the AST result" true
-    (outcome_sets_equal reference outs)
+  let outs, _ = En.outcomes_stateful ~domains:1 ~max_events:(ops + 1) p in
+  let reference = En.outcomes ~max_events:(ops + 1) p in
+  check "fallback produces the tree result" true
+    (outcome_sets_equal reference outs);
+  (* The DRF0 quantifier takes the same fallback.  The long thread's
+     prefix is local (Nops), so it is over the op-count bound while
+     every execution stays a handful of events long. *)
+  let long_thread = List.init ops (fun _ -> I.Nop) @ [ I.Write (0, I.Const 1) ] in
+  let race_free = P.make [ long_thread; [ I.Write (1, I.Const 1) ] ] in
+  let racy = P.make [ long_thread; [ I.Read (0, 0) ] ] in
+  List.iter
+    (fun (name, program, expect_racy) ->
+      check (name ^ " is beyond compiler bounds") false
+        (PC.compilable program);
+      let reference = En.check_drf0 ~max_events:(ops + 2) program in
+      check (name ^ " verdict") expect_racy (Result.is_error reference);
+      List.iter
+        (fun domains ->
+          let got, _ =
+            En.check_drf0_stateful ~domains ~max_events:(ops + 2) program
+          in
+          check
+            (Printf.sprintf "%s: fallback report equals check_drf0's (domains=%d)"
+               name domains)
+            true (reports_agree reference got))
+        [ 1; 3 ])
+    [ ("race-free", race_free, false); ("racy", racy, true) ]
 
 let test_compile_canonical_encoding_stable () =
   (* The sweep memoizer keys on the canonical encoding: structurally

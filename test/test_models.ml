@@ -161,6 +161,17 @@ let test_difftest_compliant () =
   check "some racy case separates some machine" true
     (List.exists (fun (_, cols) -> List.exists (fun (_, n) -> n > 0) cols) matrix)
 
+let test_default_cases_every_family () =
+  (* every family synthesizes, including the corpus-fed ones *)
+  let litmus = List.length L.all in
+  List.iter
+    (fun family ->
+      check_int
+        (Printf.sprintf "%s: litmus corpus plus two synthesized cases" family)
+        (litmus + 2)
+        (List.length (D.default_cases ~family ~count:2 ())))
+    Wo_synth.Synth.families
+
 let tests =
   [
     Alcotest.test_case "tso separator" `Quick test_tso_separator;
@@ -176,4 +187,6 @@ let tests =
       test_sc_presets_identical_through_model_layer;
     Alcotest.test_case "difftest finds no violations on the corpus" `Slow
       test_difftest_compliant;
+    Alcotest.test_case "difftest default cases for every family" `Quick
+      test_default_cases_every_family;
   ]

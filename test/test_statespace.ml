@@ -2,7 +2,7 @@
    symmetry reduction and the work-stealing scheduler.  The contract under
    test is identity — outcome sets and DRF0 verdicts (including the
    reported first race) must match the tree-search oracles for every
-   strategy, symmetry setting and domain count — plus the non-triviality
+   symmetry setting and domain count — plus the non-triviality
    of the optimization: convergent and mirrored programs must actually
    dedup. *)
 
@@ -64,14 +64,11 @@ let test_outcomes_stateful_matches_litmus () =
       let reference = En.outcomes program in
       List.iter
         (fun domains ->
-          List.iter
-            (fun strategy ->
-              let got, _ = En.outcomes_stateful ~strategy ~domains program in
-              check
-                (Printf.sprintf "stateful outcomes match (domains=%d)" domains)
-                true
-                (outcome_sets_equal reference got))
-            [ En.Naive; En.Por ])
+          let got, _ = En.outcomes_stateful ~domains program in
+          check
+            (Printf.sprintf "stateful outcomes match (domains=%d)" domains)
+            true
+            (outcome_sets_equal reference got))
         [ 1; 3 ])
     litmus_programs
 
@@ -85,16 +82,18 @@ let prop_outcomes_stateful_equals_tree =
       in
       let reference = En.outcomes ~strategy:En.Naive program in
       List.for_all
-        (fun (strategy, domains) ->
+        (fun domains ->
           outcome_sets_equal reference
-            (fst (En.outcomes_stateful ~strategy ~domains program)))
-        [ (En.Naive, 1); (En.Por, 1); (En.Por, 3) ])
+            (fst (En.outcomes_stateful ~domains program)))
+        [ 1; 3 ])
 
 let test_outcomes_stateful_dedups () =
-  (* C(8,4) = 70 tree leaves collapse onto a 5x5 grid of distinct states. *)
+  (* C(8,4) = 70 tree leaves collapse onto a 5x5 grid of distinct states.
+     Every step writes the same location, so sleep sets prune nothing:
+     the reduction is the visited table's alone. *)
   let p = mirrored_writes ~procs:2 ~len:4 in
   let tree_outs, tree = En.outcomes_with_stats ~strategy:En.Naive p in
-  let dag_outs, dag = En.outcomes_stateful ~strategy:En.Naive ~domains:1 p in
+  let dag_outs, dag = En.outcomes_stateful ~domains:1 p in
   check "same outcomes" true (outcome_sets_equal tree_outs dag_outs);
   check "dedup hits observed" true (dag.En.sf_hits > 0);
   check "at least 2x fewer states" true (2 * dag.En.sf_states <= tree.En.states);
@@ -129,7 +128,7 @@ let prop_check_stateful_equals_closure =
   QCheck.Test.make
     ~name:
       "stateful DRF0 verdict equals the closure oracle on random programs \
-       (both strategies, 1 and N domains)"
+       (1 and N domains)"
     ~count:30 QCheck.small_int (fun pseed ->
       let program =
         Wo_litmus.Random_prog.racy ~seed:pseed ~procs:2 ~ops_per_proc:3
@@ -137,10 +136,10 @@ let prop_check_stateful_equals_closure =
       in
       let reference = En.check_drf0_closure program in
       List.for_all
-        (fun (strategy, domains) ->
+        (fun domains ->
           verdicts_agree reference
-            (fst (En.check_drf0_stateful ~strategy ~domains program)))
-        [ (En.Naive, 1); (En.Por, 1); (En.Por, 3) ])
+            (fst (En.check_drf0_stateful ~domains program)))
+        [ 1; 3 ])
 
 let prop_check_stateful_report_deterministic =
   (* Not just the verdict: the reported racy execution and race pair must
@@ -198,10 +197,10 @@ let test_stateful_limits_raise () =
      with En.Limit_exceeded -> true);
   (* The bound is on complete executions, so the program must be race-free
      (a race aborts the search long before any leaf). *)
-  check "max_executions raises (naive, bound below leaf count)" true
+  check "max_executions raises (bound below leaf count)" true
     (try
        ignore
-         (En.check_drf0_stateful ~strategy:En.Naive ~max_executions:0
+         (En.check_drf0_stateful ~max_executions:0
             (mirrored_sync ~procs:2 ~len:2));
        false
      with En.Limit_exceeded -> true)
