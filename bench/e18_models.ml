@@ -17,11 +17,16 @@
      at the pinned seeds;
    - cost: per-model simulation throughput (runs/sec, simulated
      cycles/sec) and the stall-reason breakdown, next to the wo-new
-     SC baseline on the same uncached memory.
+     SC baseline on the same uncached memory;
+   - reference sets: the compiled model-set search
+     (Wo_prog.Relaxed.outcomes) against the reference walk
+     (Relaxed.reference_outcomes) over the harness's racy loop-free
+     cases x tso/pso/ra — equal sets, both times, both state counts.
 
-   Results go to stdout and BENCH_models.json; CI gates the compliance
-   and separation flags at quick bounds too (both are deterministic),
-   while throughput numbers are informational. *)
+   Results go to stdout and BENCH_models.json; CI gates the compliance,
+   separation and reference-set identity flags at quick bounds too (all
+   are deterministic), while throughput numbers and the reference-set
+   speedup are informational. *)
 
 module M = Wo_machines.Machine
 module P = Wo_machines.Presets
@@ -87,6 +92,62 @@ let measure ~runs ~model (machine : M.t) suite =
     avg_cycles = float_of_int !cycles /. float_of_int (max 1 !total);
     stall_reasons = stall_breakdown !stalls;
     stall_total = Stall.total !stalls;
+  }
+
+(* --- the model reference sets: compiled search vs the reference walk -------- *)
+
+type ref_row = {
+  sets : int;
+  identity : bool;  (** every compiled set equals the reference set *)
+  reference_s : float;  (** best of [reps] passes *)
+  compiled_s : float;
+  reference_states : int;
+  compiled_states : int;
+}
+
+let reference_sets ~reps (cases : D.case list) =
+  let programs =
+    List.filter_map
+      (fun (c : D.case) ->
+        if c.D.racy && not c.D.loops then Some c.D.program else None)
+      cases
+  in
+  let models = Wo_core.Sync_model.[ tso_hw; pso_hw; ra_hw ] in
+  let pass reference =
+    let t0 = now () in
+    let results =
+      List.concat_map
+        (fun hw ->
+          List.map
+            (fun p -> Wo_prog.Relaxed.outcomes_with_states ~reference hw p)
+            programs)
+        models
+    in
+    (now () -. t0, results)
+  in
+  let timed reference =
+    let t, results = pass reference in
+    let best = ref t in
+    for _ = 2 to reps do
+      best := Float.min !best (fst (pass reference))
+    done;
+    (!best, results)
+  in
+  let reference_s, refs = timed true in
+  let compiled_s, comps = timed false in
+  let states rs = List.fold_left (fun n (_, k) -> n + k) 0 rs in
+  {
+    sets = List.length refs;
+    identity =
+      List.for_all2
+        (fun (a, _) (b, _) ->
+          List.length a = List.length b
+          && List.for_all2 (fun x y -> Wo_prog.Outcome.compare x y = 0) a b)
+        refs comps;
+    reference_s;
+    compiled_s;
+    reference_states = states refs;
+    compiled_states = states comps;
   }
 
 (* --- the experiment --------------------------------------------------------- *)
@@ -170,6 +231,18 @@ let run () =
     matrix;
   Printf.printf "every relaxed machine separated from SC: %s\n\n"
     (Exp_common.yes_no separators_met);
+  (* The axiomatic sets behind the model-set checks, both searches. *)
+  let rr =
+    reference_sets ~reps:(Exp_common.scaled 5 1)
+      (match cases with Some cs -> cs | None -> D.default_cases ())
+  in
+  let speedup = rr.reference_s /. Float.max rr.compiled_s 1e-9 in
+  Printf.printf
+    "reference sets (%d: racy cases x tso/pso/ra): compiled = reference: %s\n\
+    \  reference walk %.3fs, %d states; compiled search %.3fs, %d states \
+     (%.1fx)\n\n"
+    rr.sets (Exp_common.yes_no rr.identity) rr.reference_s rr.reference_states
+    rr.compiled_s rr.compiled_states speedup;
   let row_json r =
     J.Obj
       [
@@ -214,6 +287,17 @@ let run () =
       ( "separators",
         J.Obj (List.map (fun (n, b) -> (n, J.Bool b)) separators) );
       ("separators_met", J.Bool separators_met);
+      ("relaxed_identity", J.Bool rr.identity);
+      ( "relaxed_sets",
+        J.Obj
+          [
+            ("sets", J.Int rr.sets);
+            ("reference_s", J.Float rr.reference_s);
+            ("compiled_s", J.Float rr.compiled_s);
+            ("reference_states", J.Int rr.reference_states);
+            ("compiled_states", J.Int rr.compiled_states);
+            ("speedup", J.Float speedup);
+          ] );
     ];
   print_endline
     "Expected: zero compliance violations (DRF0 programs appear SC on\n\
@@ -221,4 +305,7 @@ let run () =
      and a fully separated matrix — each relaxed machine shows at least\n\
      one beyond-SC outcome some SC machine never produces.  Relaxed\n\
      models trade stall cycles for buffer occupancy: the TSO/PSO rows\n\
-     should show fewer write-path stalls than the SC baseline."
+     should show fewer write-path stalls than the SC baseline.  The\n\
+     compiled model-set search must return every reference set exactly\n\
+     (relaxed_identity) while visiting fewer states than the reference\n\
+     walk, because buffered writes run eagerly."

@@ -1374,6 +1374,8 @@ let difftest_cmd =
             ( "violations",
               Wo_obs.Json.Int
                 (List.length summary.Wo_campaign.Difftest.violating) );
+            ( "over_bound",
+              Wo_obs.Json.Int (Wo_campaign.Difftest.over_bound summary) );
             ("runs", Wo_obs.Json.Int runs);
             ("seed", Wo_obs.Json.Int seed);
             ("wall_s", Wo_obs.Json.Float wall);

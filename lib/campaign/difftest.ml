@@ -114,6 +114,12 @@ let memo_outcomes tbl key f =
 
 let in_set set o = List.exists (fun a -> Wo_prog.Outcome.compare a o = 0) set
 
+(* The check a case gets when every oracle answers. *)
+let planned_check c =
+  if c.drf0 then if c.loops then Lemma1_only else Against_sc
+  else if c.racy && not c.loops then Against_model
+  else Report_only
+
 let find_witness session ~base_seed ~runs ~compiled program bad =
   let rec search seed =
     if seed >= base_seed + runs then None
@@ -156,11 +162,7 @@ let run ?(specs = Wo_machines.Presets.model_specs) ?(runs = 40) ?(base_seed = 1)
                 memo_outcomes sc_sets c.cname (fun () ->
                     Wo_prog.Enumerate.outcomes c.program)
             in
-            let check =
-              if c.drf0 then if c.loops then Lemma1_only else Against_sc
-              else if c.racy && not c.loops then Against_model
-              else Report_only
-            in
+            let check = planned_check c in
             (* the litmus-style sweep: histogram, SC violations, Lemma 1 *)
             let test =
               {
@@ -230,6 +232,12 @@ let run ?(specs = Wo_machines.Presets.model_specs) ?(runs = 40) ?(base_seed = 1)
     violating = List.filter (fun r -> not (compliant r)) reports;
   }
 
+let over_bound (s : summary) =
+  List.length
+    (List.filter
+       (fun r -> r.rcheck = Report_only && planned_check r.rcase = Against_model)
+       s.reports)
+
 (* --- the separator matrix --------------------------------------------------- *)
 
 (* For each racy loop-free case, how many runs each machine spent outside
@@ -297,6 +305,7 @@ let summary_to_json s =
       ("cases", J.Int s.cases);
       ("machines", J.Int s.machines);
       ("compliant", J.Bool (s.violating = []));
+      ("over_bound", J.Int (over_bound s));
       ("reports", J.List (List.map report_to_json s.reports));
       ( "matrix",
         J.Obj
@@ -318,6 +327,9 @@ let pp_summary ppf (s : summary) =
           (List.length of_g)
           (List.length (List.filter (fun r -> not (compliant r)) of_g)))
     groups;
+  Format.fprintf ppf
+    "  over-bound %d model-set checks reported without a verdict (--max-states)@,"
+    (over_bound s);
   Format.fprintf ppf "@,separator matrix (runs outside the SC set):@,";
   List.iter
     (fun (case, row) ->

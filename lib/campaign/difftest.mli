@@ -89,6 +89,11 @@ val matrix : summary -> (string * (string * int) list) list
 (** Per racy loop-free case: how many of each machine's runs fell
     outside the SC set.  Zero vs non-zero rows separate the models. *)
 
+val over_bound : summary -> int
+(** Racy loop-free checks downgraded to [Report_only] because the
+    model's reference set exceeded [max_states]: checks that had no
+    verdict. *)
+
 val report_to_json : report -> Wo_obs.Json.t
 val summary_to_json : summary -> Wo_obs.Json.t
 val pp_summary : Format.formatter -> summary -> unit

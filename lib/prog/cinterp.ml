@@ -236,17 +236,21 @@ let step st proc =
 
 (* --- observation ------------------------------------------------------------ *)
 
-let memory st =
-  Array.to_list (Array.mapi (fun i l -> (l, st.mem.(i))) st.prog.P.locs)
+let memory_of t mem =
+  Array.to_list (Array.mapi (fun i l -> (l, mem.(i))) t.P.locs)
+
+let memory st = memory_of st.prog st.mem
 
 let events_so_far st = st.next_event_id
 
-let outcome st =
+let outcome_of t ~regs ~mem =
   let registers =
-    Array.to_list st.prog.P.obs_regs
-    |> List.map (fun (p, r, flat) -> (p, r, st.regs.(flat)))
+    Array.to_list t.P.obs_regs
+    |> List.map (fun (p, r, flat) -> (p, r, regs.(flat)))
   in
-  Outcome.make ~registers ~memory:(memory st)
+  Outcome.make ~registers ~memory:(memory_of t mem)
+
+let outcome st = outcome_of st.prog ~regs:st.regs ~mem:st.mem
 
 let execution st = Wo_core.Execution.of_ordered_events (List.rev st.events_rev)
 
@@ -255,7 +259,7 @@ let execution st = Wo_core.Execution.of_ordered_events (List.rev st.events_rev)
 (* Zigzagged LEB128 varints; self-delimiting, and the per-program field
    counts (nprocs, nregs, nlocs) are fixed, so the concatenation is
    injective on states of one compiled program. *)
-let put b pos n =
+let put_varint b pos n =
   let z = if n >= 0 then n lsl 1 else lnot (n lsl 1) in
   let rec go z pos =
     if z < 0x80 then begin
@@ -269,10 +273,10 @@ let put b pos n =
   in
   go z pos
 
-let put_all b pos a =
+let put_varints b pos a =
   let pos = ref pos in
   for i = 0 to Array.length a - 1 do
-    pos := put b !pos a.(i)
+    pos := put_varint b !pos a.(i)
   done;
   !pos
 
@@ -282,10 +286,10 @@ let exact_key st =
     10 * (1 + t.P.nprocs + Array.length st.regs + Array.length st.mem)
   in
   let b = Bytes.create worst in
-  let pos = put b 0 st.next_event_id in
-  let pos = put_all b pos st.pcs in
-  let pos = put_all b pos st.regs in
-  let pos = put_all b pos st.mem in
+  let pos = put_varint b 0 st.next_event_id in
+  let pos = put_varints b pos st.pcs in
+  let pos = put_varints b pos st.regs in
+  let pos = put_varints b pos st.mem in
   Bytes.sub_string b 0 pos
 
 (* --- canonical DRF0 keys ---------------------------------------------------- *)

@@ -120,6 +120,91 @@ let test_relaxed_monotonic () =
       chain sets)
     loop_free
 
+(* --- compiled search = reference walk --------------------------------------- *)
+
+let hw_models = [ SM.sc_hw; SM.tso_hw; SM.pso_hw; SM.ra_hw ]
+
+let same_outcomes a b =
+  List.length a = List.length b && List.for_all2 (fun x y -> O.compare x y = 0) a b
+
+let check_identity name program =
+  List.iter
+    (fun hw ->
+      check
+        (Printf.sprintf "%s under %s: compiled = reference" name hw.SM.hname)
+        true
+        (same_outcomes
+           (Rx.outcomes hw program)
+           (Rx.reference_outcomes hw program)))
+    hw_models
+
+let test_relaxed_identity_litmus () =
+  List.iter
+    (fun (t : L.t) -> if not t.L.loops then check_identity t.L.name t.L.program)
+    L.all
+
+let test_relaxed_identity_synth () =
+  let corpus = Wo_campaign.Campaign.catalogue_corpus () in
+  List.iter
+    (fun family ->
+      match Wo_synth.Synth.batch ~corpus ~family ~base_seed:1 ~count:24 () with
+      | Error e -> Alcotest.failf "%s: %s" family e
+      | Ok cases ->
+        List.iter
+          (fun (c : Wo_synth.Synth.case) ->
+            let p = c.Wo_synth.Synth.program in
+            if not (Wo_prog.Program.has_loops p) then
+              check_identity c.Wo_synth.Synth.name p)
+          cases)
+    [ "cycle-racy"; "cycle-mixed"; "mutate" ]
+
+let prop_relaxed_identity_random =
+  QCheck.Test.make
+    ~name:"Relaxed: compiled outcomes equal the reference walk on random racy \
+           programs (sc, tso, pso, ra)"
+    ~count:60 QCheck.small_int (fun pseed ->
+      let program =
+        (* alternate two wide threads and three narrow ones *)
+        Wo_litmus.Random_prog.racy ~seed:pseed ~procs:(2 + (pseed mod 2))
+          ~ops_per_proc:(4 - (2 * (pseed mod 2))) ~locs:2 ()
+      in
+      Wo_prog.Program.has_loops program
+      || List.for_all
+           (fun hw ->
+             same_outcomes
+               (Rx.outcomes hw program)
+               (Rx.reference_outcomes hw program))
+           hw_models)
+
+(* Beyond Prog_compile's op-count bound: answered by the reference walk. *)
+let long_racy () =
+  let module I = Wo_prog.Instr in
+  let long_thread =
+    List.init 2049 (fun _ -> I.Nop) @ [ I.Write (0, I.Const 1) ]
+  in
+  Wo_prog.Program.make
+    [ long_thread @ [ I.Read (0, 1) ]; [ I.Write (1, I.Const 1); I.Read (1, 0) ] ]
+
+let test_relaxed_fallback () =
+  let p = long_racy () in
+  check "program is beyond compiler bounds" false
+    (Wo_prog.Prog_compile.compilable p);
+  check_identity "uncompilable racy program" p
+
+let test_relaxed_bound () =
+  List.iter
+    (fun (name, p) ->
+      List.iter
+        (fun hw ->
+          check
+            (Printf.sprintf "%s under %s: max_states 1 raises" name hw.SM.hname)
+            true
+            (match Rx.outcomes ~max_states:1 hw p with
+            | _ -> false
+            | exception Rx.Too_many_states 1 -> true))
+        hw_models)
+    [ ("figure1 (compiled)", L.figure1.L.program); ("fallback", long_racy ()) ]
+
 (* --- the identity gate: the model layer does not perturb SC builds ---------- *)
 
 let fingerprint (r : M.result) =
@@ -161,6 +246,26 @@ let test_difftest_compliant () =
   check "some racy case separates some machine" true
     (List.exists (fun (_, cols) -> List.exists (fun (_, n) -> n > 0) cols) matrix)
 
+let test_difftest_over_bound () =
+  (* a bound too small for any reference set downgrades every racy
+     loop-free check to report, and the summary counts each one *)
+  let cases =
+    match Wo_synth.Synth.batch ~family:"cycle-racy" ~base_seed:1 ~count:2 () with
+    | Ok cs -> List.map D.case_of_synth cs
+    | Error e -> Alcotest.fail e
+  in
+  let s = D.run ~cases ~runs:4 ~base_seed:1 ~max_states:20 ~witnesses:false () in
+  let downgraded =
+    List.length
+      (List.filter
+         (fun r ->
+           r.D.rcheck = D.Report_only && r.D.rcase.D.racy
+           && not r.D.rcase.D.loops)
+         s.D.reports)
+  in
+  check "some check went over the bound" true (D.over_bound s > 0);
+  check_int "over_bound counts the downgraded reports" downgraded (D.over_bound s)
+
 let test_default_cases_every_family () =
   (* every family synthesizes, including the corpus-fed ones *)
   let litmus = List.length L.all in
@@ -183,10 +288,21 @@ let tests =
       test_relaxed_sc_matches_enumerate;
     Alcotest.test_case "model outcome sets are monotone" `Quick
       test_relaxed_monotonic;
+    Alcotest.test_case "Relaxed compiled = reference on litmus" `Quick
+      test_relaxed_identity_litmus;
+    Alcotest.test_case "Relaxed compiled = reference on synthesized cases" `Quick
+      test_relaxed_identity_synth;
+    QCheck_alcotest.to_alcotest prop_relaxed_identity_random;
+    Alcotest.test_case "Relaxed uncompilable programs fall back" `Quick
+      test_relaxed_fallback;
+    Alcotest.test_case "Relaxed max_states bounds both paths" `Quick
+      test_relaxed_bound;
     Alcotest.test_case "SC presets identical through the model layer" `Slow
       test_sc_presets_identical_through_model_layer;
     Alcotest.test_case "difftest finds no violations on the corpus" `Slow
       test_difftest_compliant;
+    Alcotest.test_case "difftest counts over-bound model checks" `Quick
+      test_difftest_over_bound;
     Alcotest.test_case "difftest default cases for every family" `Quick
       test_default_cases_every_family;
   ]
