@@ -208,6 +208,14 @@ let run () =
          ])
        rows);
   let all_identical = List.for_all (fun r -> r.r_identical) rows in
+  (* The litmus rows are the protocol-bound shape campaigns run; their
+     session allocation is what the protocol-layer work is cutting. *)
+  let is_litmus r = List.exists (fun (t : L.t) -> t.L.name = r.r_program) L.all in
+  let max_litmus_bytes =
+    List.fold_left
+      (fun a r -> if is_litmus r then max a r.compiled_bytes_per_run else a)
+      0.0 rows
+  in
   let best_speedup = List.fold_left (fun a r -> max a r.speedup) 0.0 rows in
   let best_alloc = List.fold_left (fun a r -> max a r.alloc_ratio) 0.0 rows in
   let speedup_met = best_speedup >= 5.0 in
@@ -238,6 +246,7 @@ let run () =
       [
         ("test", J.String r.r_program);
         ("machine", J.String r.r_machine);
+        ("litmus", J.Bool (is_litmus r));
         ("runs", J.Int r.r_runs);
         ("ast_seconds", J.Float r.ast_seconds);
         ("ast_bytes_per_run", J.Float r.ast_bytes_per_run);
@@ -255,6 +264,7 @@ let run () =
       ("all_identical", J.Bool all_identical);
       ("best_speedup", J.Float best_speedup);
       ("best_alloc_ratio", J.Float best_alloc);
+      ("max_litmus_session_bytes_per_run", J.Float max_litmus_bytes);
       ("speedup_target_met", J.Bool speedup_met);
       ("alloc_target_met", J.Bool alloc_met);
       ("sweep_identical", J.Bool sweep_identical);

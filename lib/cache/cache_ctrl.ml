@@ -91,13 +91,17 @@ type t = {
   fabric : Msg.t Wo_interconnect.Fabric.t;
   node : int;
   dir_node : int;
-  stats : Wo_sim.Stats.t option;
+  hits : Wo_sim.Stats.counter;
+  misses : Wo_sim.Stats.counter;
+  reserves : Wo_sim.Stats.counter;
+  evictions : Wo_sim.Stats.counter;
   stalls : Wo_obs.Stall.t option;
       (* reserve-bit waits are attributed here, to the REQUESTING
          processor, by the cache that holds the reserve (5.3) *)
-  obs : Wo_obs.Recorder.t;
+  mutable obs : Wo_obs.Recorder.t;
   config : config;
   lines : (Wo_core.Event.loc, line) Hashtbl.t;
+  mutable reserved_lines : int;  (* lines with a reserve watermark *)
   mutable next_serial : int;
   outstanding : (int, unit) Hashtbl.t;
       (* serials of accesses submitted but not yet globally performed *)
@@ -106,8 +110,6 @@ type t = {
   mutable pending : int;  (* accesses submitted, not yet committed *)
   mutable use_clock : int;
 }
-
-let stat t name = match t.stats with Some s -> Wo_sim.Stats.incr s name | None -> ()
 
 let protocol_error fmt = Format.kasprintf (fun s -> raise (Protocol_error s)) fmt
 
@@ -266,8 +268,9 @@ let apply_op t (l : line) (op : op) ~(gp_immediate : bool) =
   if sets_reserve t op.kind && (other_outstanding || own_gp_deferred) then begin
     (if Wo_obs.Recorder.enabled t.obs && not (reserved l) then
        l.reserve_set_at <- now);
+    if not (reserved l) then t.reserved_lines <- t.reserved_lines + 1;
     l.reserve_watermark <- Some (op.serial + 1);
-    stat t "cache.reserves"
+    Wo_sim.Stats.bump t.reserves
   end;
   t.pending <- t.pending - 1;
   op.completion.on_commit ~at:commit_at read_value;
@@ -296,13 +299,13 @@ and attempt t (l : line) =
   | Some op ->
     if l.miss_outstanding <> `No then ()
     else if state_sufficient t op.kind l.state then begin
-      stat t "cache.hits";
+      Wo_sim.Stats.bump t.hits;
       apply_op t l op ~gp_immediate:true;
       ignore (Queue.pop l.ops);
       schedule_next t l
     end
     else begin
-      stat t "cache.misses";
+      Wo_sim.Stats.bump t.misses;
       if Wo_obs.Recorder.enabled t.obs then
         l.miss_started <- Wo_sim.Engine.now t.engine;
       let sync = kind_is_sync op.kind in
@@ -366,7 +369,7 @@ and allocate_line t loc =
       match find_victim t with
       | None -> None (* every line is pinned (e.g. reserved); caller waits *)
       | Some victim -> (
-        stat t "cache.evictions";
+        Wo_sim.Stats.bump t.evictions;
         match victim.state with
         | Shared_l ->
           (* Silent drop: the directory may still list us as a sharer; a
@@ -422,6 +425,9 @@ and complete_serial t serial =
   end
 
 and maybe_release_reserves t =
+  if t.reserved_lines > 0 then release_reserves t
+
+and release_reserves t =
   let floor =
     if t.config.coarse_counter then
       (* "All reserve bits are reset when the counter reads zero": with the
@@ -439,6 +445,7 @@ and maybe_release_reserves t =
         (* Everything generated up to the reserving synchronization is
            globally performed: release and service stalled requests. *)
         l.reserve_watermark <- None;
+        t.reserved_lines <- t.reserved_lines - 1;
         (if Wo_obs.Recorder.enabled t.obs then
            let now = Wo_sim.Engine.now t.engine in
            Wo_obs.Recorder.span t.obs ~cat:Wo_obs.Recorder.Cache ~track:t.node
@@ -582,19 +589,24 @@ let dispatch t msg =
     | Msg.GetS _ | Msg.GetX _ | Msg.InvAck _ | Msg.RecallAck _ | Msg.PutX _ ->
       protocol_error "P%d: cache cannot handle %a" t.node Msg.pp msg)
 
-let create ~engine ~fabric ~node ~dir_node ?stats ?stalls
-    ?(obs = Wo_obs.Recorder.disabled) config =
+let create ~engine ~fabric ~node ~dir_node ?(stats = Wo_sim.Stats.create ())
+    ?stalls ?(obs = Wo_obs.Recorder.disabled) config =
+  let counter = Wo_sim.Stats.counter stats in
   let t =
     {
       engine;
       fabric;
       node;
       dir_node;
-      stats;
+      hits = counter "cache.hits";
+      misses = counter "cache.misses";
+      reserves = counter "cache.reserves";
+      evictions = counter "cache.evictions";
       stalls;
       obs;
       config;
       lines = Hashtbl.create 64;
+      reserved_lines = 0;
       next_serial = 0;
       outstanding = Hashtbl.create 16;
       idle_waiters = [];
@@ -606,12 +618,15 @@ let create ~engine ~fabric ~node ~dir_node ?stats ?stalls
   fabric.Wo_interconnect.Fabric.connect ~node (fun msg -> dispatch t msg);
   t
 
-(* Session support: drop every line and every in-flight access, in place.
-   Sound only when the engine has drained or been cleared — the fabric
-   handler registered by [create] stays connected, so the controller is
+(* Session support: drop every line and every in-flight access, in place,
+   and record into the session's current recorder from now on.  Sound
+   only when the engine has drained or been cleared — the fabric handler
+   registered by [create] stays connected, so the controller is
    immediately usable for the next run. *)
-let reset t =
+let reset t ~obs =
+  t.obs <- obs;
   Hashtbl.reset t.lines;
+  t.reserved_lines <- 0;
   t.next_serial <- 0;
   Hashtbl.reset t.outstanding;
   t.idle_waiters <- [];

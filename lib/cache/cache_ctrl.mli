@@ -89,11 +89,13 @@ val create :
     With an enabled [obs] recorder, misses and reserve-bit windows become
     [Cache]-category spans on track [node]. *)
 
-val reset : t -> unit
+val reset : t -> obs:Wo_obs.Recorder.t -> unit
 (** Drop every line and in-flight access, returning the controller to its
-    just-created state.  The fabric connection made by {!create} persists,
-    so the controller is immediately reusable.  Only sound between runs —
-    after the engine has drained or been cleared. *)
+    just-created state, and record into [obs] from now on (a reused
+    session passes the recorder ambient at the start of each run).  The
+    fabric connection made by {!create} persists, so the controller is
+    immediately reusable.  Only sound between runs — after the engine
+    has drained or been cleared. *)
 
 val access : t -> Wo_core.Event.loc -> access_kind -> completion -> unit
 (** Submit one access.  Accesses to the same line are serviced in

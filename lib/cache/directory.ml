@@ -26,14 +26,13 @@ type t = {
   engine : Wo_sim.Engine.t;
   fabric : Msg.t Wo_interconnect.Fabric.t;
   node : int;
-  stats : Wo_sim.Stats.t option;
-  obs : Wo_obs.Recorder.t;
+  recalls : Wo_sim.Stats.counter;
+  invalidations : Wo_sim.Stats.counter;
+  mutable obs : Wo_obs.Recorder.t;
   process_cycles : int;
   initial : Wo_core.Event.loc -> Wo_core.Event.value;
   lines : (Wo_core.Event.loc, line) Hashtbl.t;
 }
-
-let stat t name = match t.stats with Some s -> Wo_sim.Stats.incr s name | None -> ()
 
 let line t loc =
   match Hashtbl.find_opt t.lines loc with
@@ -93,7 +92,7 @@ let rec serve t (l : line) msg =
         (Msg.DataS { loc; value = l.value; bound_at = Wo_sim.Engine.now t.engine })
     | D_exclusive owner ->
       open_trans t l (Wait_recall { kind = `S; requester; owner });
-      stat t "dir.recalls";
+      Wo_sim.Stats.bump t.recalls;
       send t ~dst:owner (Msg.Recall { loc; mode = Msg.For_share; sync; requester }))
   | Msg.GetX { loc; requester; sync } -> (
     match l.dstate with
@@ -106,7 +105,7 @@ let rec serve t (l : line) msg =
          write-back reached us; the recall is answered from the evicting
          copy. *)
       open_trans t l (Wait_recall { kind = `X; requester; owner });
-      stat t "dir.recalls";
+      Wo_sim.Stats.bump t.recalls;
       send t ~dst:owner (Msg.Recall { loc; mode = Msg.For_own; sync; requester })
     | D_shared sharers ->
       let others = Int_set.remove requester sharers in
@@ -119,7 +118,7 @@ let rec serve t (l : line) msg =
           (Msg.DataX { loc; value = l.value; acks_pending = Int_set.cardinal others });
         Int_set.iter
           (fun sharer ->
-            stat t "dir.invalidations";
+            Wo_sim.Stats.bump t.invalidations;
             send t ~dst:sharer (Msg.Inv { loc }))
           others;
         open_trans t l
@@ -210,14 +209,15 @@ let handle t msg =
   Wo_sim.Engine.schedule t.engine ~delay:t.process_cycles (fun () ->
       dispatch t (line t (Msg.loc msg)) msg)
 
-let create ~engine ~fabric ~node ?stats ?(obs = Wo_obs.Recorder.disabled)
-    ?(process_cycles = 1) ~initial () =
+let create ~engine ~fabric ~node ?(stats = Wo_sim.Stats.create ())
+    ?(obs = Wo_obs.Recorder.disabled) ?(process_cycles = 1) ~initial () =
   let t =
     {
       engine;
       fabric;
       node;
-      stats;
+      recalls = Wo_sim.Stats.counter stats "dir.recalls";
+      invalidations = Wo_sim.Stats.counter stats "dir.invalidations";
       obs;
       process_cycles = max 1 process_cycles;
       initial;
@@ -227,10 +227,13 @@ let create ~engine ~fabric ~node ?stats ?(obs = Wo_obs.Recorder.disabled)
   fabric.Wo_interconnect.Fabric.connect ~node (fun msg -> handle t msg);
   t
 
-(* Session support: forget every line.  Lines are recreated lazily with
-   [t.initial], so a directory whose [initial] closure reads mutable
-   state picks up the next program's initial values after a reset. *)
-let reset t = Hashtbl.reset t.lines
+(* Session support: forget every line and record into the session's
+   current recorder.  Lines are recreated lazily with [t.initial], so a
+   directory whose [initial] closure reads mutable state picks up the
+   next program's initial values after a reset. *)
+let reset t ~obs =
+  t.obs <- obs;
+  Hashtbl.reset t.lines
 
 let state_of t loc =
   match Hashtbl.find_opt t.lines loc with
@@ -245,6 +248,11 @@ let memory_value t loc =
   match Hashtbl.find_opt t.lines loc with
   | None -> t.initial loc
   | Some l -> l.value
+
+let busy t =
+  Hashtbl.fold
+    (fun _ l acc -> match l.trans with None -> acc | Some _ -> true)
+    t.lines false
 
 let busy_lines t =
   Hashtbl.fold

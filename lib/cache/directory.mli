@@ -39,10 +39,11 @@ val create :
     invalidation round) becomes a [Dir]-category span on the line's
     track. *)
 
-val reset : t -> unit
-(** Forget every line, in place; the fabric connection persists.  Lines
-    are recreated lazily through [initial], so the directory serves the
-    next run's initial values.  Only sound between runs. *)
+val reset : t -> obs:Wo_obs.Recorder.t -> unit
+(** Forget every line, in place, and record into [obs] from now on; the
+    fabric connection persists.  Lines are recreated lazily through
+    [initial], so the directory serves the next run's initial values.
+    Only sound between runs. *)
 
 val state_of : t -> Wo_core.Event.loc -> state
 
@@ -52,6 +53,9 @@ val memory_value : t -> Wo_core.Event.loc -> Wo_core.Event.value
 
 val debug_dump : t -> string
 (** Per-line directory state for deadlock diagnostics. *)
+
+val busy : t -> bool
+(** Whether any line has an outstanding transaction; allocation-free. *)
 
 val busy_lines : t -> Wo_core.Event.loc list
 (** Lines with an outstanding transaction (should be empty when a

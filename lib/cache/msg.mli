@@ -59,8 +59,11 @@ type t =
 
 val loc : t -> Wo_core.Event.loc
 
-val tag : t -> string
-(** The constructor name, e.g. ["GetS"] — the key message taps count
-    under. *)
+val kind : t -> int
+(** The constructor's index into {!kind_names}, in declaration order. *)
+
+val kind_names : string array
+(** Constructor names by {!kind}, e.g. [kind_names.(0) = "GetS"] — the
+    names message taps count under. *)
 
 val pp : Format.formatter -> t -> unit

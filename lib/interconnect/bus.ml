@@ -2,28 +2,30 @@ type 'msg pending = { src : int; dst : int; enqueued : int; msg : 'msg }
 
 type 'msg t = {
   engine : Wo_sim.Engine.t;
-  stats : Wo_sim.Stats.t option;
+  messages : Wo_sim.Stats.counter;
   tap : ('msg -> src:int -> dst:int -> latency:int -> unit) option;
   transfer_cycles : int;
-  handlers : (int, 'msg -> unit) Hashtbl.t;
+  mutable handlers : ('msg -> unit) option array;  (* by node *)
   queue : 'msg pending Queue.t;
   mutable busy : bool;
   mutable sent : int;
 }
 
-let create ~engine ?stats ?tap ?(transfer_cycles = 2) () =
+let create ~engine ?(stats = Wo_sim.Stats.create ()) ?tap ?(transfer_cycles = 2)
+    () =
   {
     engine;
-    stats;
+    messages = Wo_sim.Stats.counter stats "bus.messages";
     tap;
     transfer_cycles;
-    handlers = Hashtbl.create 17;
+    handlers = [||];
     queue = Queue.create ();
     busy = false;
     sent = 0;
   }
 
-let connect t ~node handler = Hashtbl.replace t.handlers node handler
+let connect t ~node handler =
+  t.handlers <- Handlers.set t.handlers node handler
 
 let rec start_next t =
   match Queue.take_opt t.queue with
@@ -36,17 +38,12 @@ let rec start_next t =
           (* queueing wait + transfer: total send-to-delivery latency *)
           tap msg ~src ~dst ~latency:(Wo_sim.Engine.now t.engine - enqueued)
         | None -> ());
-        (match Hashtbl.find_opt t.handlers dst with
-        | Some handler -> handler msg
-        | None ->
-          invalid_arg (Printf.sprintf "Bus.send: no handler for node %d" dst));
+        Handlers.deliver ~who:"Bus.send" t.handlers dst msg;
         start_next t)
 
 let send t ~src ~dst msg =
   t.sent <- t.sent + 1;
-  (match t.stats with
-  | Some s -> Wo_sim.Stats.incr s "bus.messages"
-  | None -> ());
+  Wo_sim.Stats.bump t.messages;
   Queue.add { src; dst; enqueued = Wo_sim.Engine.now t.engine; msg } t.queue;
   if not t.busy then start_next t
 

@@ -1,30 +1,34 @@
 type 'msg t = {
   engine : Wo_sim.Engine.t;
-  stats : Wo_sim.Stats.t option;
+  messages : Wo_sim.Stats.counter;
   tap : ('msg -> src:int -> dst:int -> latency:int -> unit) option;
   latency : Latency.t;
-  handlers : (int, 'msg -> unit) Hashtbl.t;
+  mutable handlers : ('msg -> unit) option array;  (* by node *)
   mutable sent : int;
 }
 
-let create ~engine ?stats ?tap ~latency () =
-  { engine; stats; tap; latency; handlers = Hashtbl.create 17; sent = 0 }
+let create ~engine ?(stats = Wo_sim.Stats.create ()) ?tap ~latency () =
+  {
+    engine;
+    messages = Wo_sim.Stats.counter stats "network.messages";
+    tap;
+    latency;
+    handlers = [||];
+    sent = 0;
+  }
 
-let connect t ~node handler = Hashtbl.replace t.handlers node handler
+let connect t ~node handler =
+  t.handlers <- Handlers.set t.handlers node handler
 
 let send t ~src ~dst msg =
   t.sent <- t.sent + 1;
-  (match t.stats with
-  | Some s -> Wo_sim.Stats.incr s "network.messages"
-  | None -> ());
+  Wo_sim.Stats.bump t.messages;
   let delay = max 1 (t.latency ~src ~dst) in
   (match t.tap with
   | Some tap -> tap msg ~src ~dst ~latency:delay
   | None -> ());
   Wo_sim.Engine.schedule t.engine ~delay (fun () ->
-      match Hashtbl.find_opt t.handlers dst with
-      | Some handler -> handler msg
-      | None -> invalid_arg (Printf.sprintf "Network.send: no handler for node %d" dst))
+      Handlers.deliver ~who:"Network.send" t.handlers dst msg)
 
 let messages_sent t = t.sent
 

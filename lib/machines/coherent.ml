@@ -113,7 +113,8 @@ let build (config : config) (env : Driver.env) : Memsys.port =
   in
   let dir_node = num_caches in
   let fabric =
-    Driver.fabric env ~tag:Wo_cache.Msg.tag ~slow_procs:config.slow_procs
+    Driver.fabric env ~kind:Wo_cache.Msg.kind
+      ~kind_names:Wo_cache.Msg.kind_names ~slow_procs:config.slow_procs
       ~slow_routes:config.slow_routes config.fabric
   in
   let directory =
@@ -135,17 +136,21 @@ let build (config : config) (env : Driver.env) : Memsys.port =
         { cache_id = p; gp_outstanding = 0; gp_zero_waiters = [] })
   in
   (* Session reset: directory and cache lines are lazily recreated, so
-     dropping them restores the just-built state; contexts return to
-     their home caches. *)
+     dropping them restores the just-built state; the components pick up
+     the run's recorder; contexts return to their home caches. *)
   Driver.on_reset env (fun () ->
-      Wo_cache.Directory.reset directory;
-      Array.iter Cache_ctrl.reset caches;
+      let obs = env.Driver.obs in
+      Wo_cache.Directory.reset directory ~obs;
+      Array.iter (fun c -> Cache_ctrl.reset c ~obs) caches;
       Array.iteri
         (fun p ctx ->
           ctx.cache_id <- p;
           ctx.gp_outstanding <- 0;
           ctx.gp_zero_waiters <- [])
         ctxs);
+  let migrations =
+    Wo_sim.Stats.counter env.Driver.stats "machine.migrations"
+  in
   let cache_of ctx = caches.(ctx.cache_id) in
   let stall_at p reason ~until cycles =
     Driver.stall_at env ~proc:p reason ~until cycles
@@ -279,7 +284,7 @@ let build (config : config) (env : Driver.env) : Memsys.port =
          previous writes have been globally performed"; footnote 3 also
          stalls the vacated processor until its counter reads zero. *)
       let switch () =
-        Wo_sim.Stats.incr env.Driver.stats "machine.migrations";
+        Wo_sim.Stats.bump migrations;
         ctx.cache_id <- mg.to_cache;
         issue_gated ()
       in
@@ -322,9 +327,8 @@ let build (config : config) (env : Driver.env) : Memsys.port =
                (Printf.sprintf "%s: cache %d has uncommitted accesses"
                   env.Driver.name c)))
       caches;
-    match Wo_cache.Directory.busy_lines directory with
-    | [] -> ()
-    | locs ->
+    if Wo_cache.Directory.busy directory then
+      let locs = Wo_cache.Directory.busy_lines directory in
       raise
         (Machine.Machine_error
            (Printf.sprintf "%s: directory transactions stuck on %d line(s)"

@@ -49,9 +49,12 @@ let new_op env ~proc (op : Proc_frontend.memory_op) : Memsys.op =
   env.ops_rev <- r :: env.ops_rev;
   r
 
-let fabric env ~tag ?(slow_procs = []) ?(slow_routes = []) kind =
+let fabric env ~kind:kind_of ~kind_names ?(slow_procs = [])
+    ?(slow_routes = []) kind =
+  let taps = env.taps in
+  let kinds = Array.map (Wo_obs.Tap.kind taps) kind_names in
   let tap msg ~src:_ ~dst:_ ~latency =
-    Wo_obs.Tap.record env.taps ~name:(tag msg) ~latency
+    Wo_obs.Tap.record_kind taps (Array.unsafe_get kinds (kind_of msg)) ~latency
   in
   match kind with
   | Memsys.Bus { transfer_cycles } ->
@@ -144,11 +147,30 @@ let reset env ~seed ~(program : Wo_prog.Program.t) =
   env.ops_rev <- [];
   List.iter (fun f -> f ()) (List.rev env.reset_hooks)
 
+(* What result assembly reads of a program besides the run's state: its
+   locations, and per processor the observable registers ([None]: all).
+   Sessions keep one per bound program. *)
+type shape = {
+  sh_locs : Wo_core.Event.loc list;
+  sh_observable : Wo_prog.Instr.reg list option array;
+}
+
+let shape_of (program : Wo_prog.Program.t) =
+  {
+    sh_locs = Wo_prog.Program.locs program;
+    sh_observable =
+      Array.init (Wo_prog.Program.num_procs program) (fun p ->
+          Option.map
+            (List.filter_map (fun (q, r) -> if q = p then Some r else None))
+            program.Wo_prog.Program.observable);
+  }
+
 (* The run loop and result assembly, shared by the fresh path and
-   sessions.  [copy_obs] deep-copies the mutable observability state
-   into the result so a later in-place reset cannot disturb it; the
-   copies Marshal identically to the originals. *)
-let execute env (port : Memsys.port) finish_times ~copy_obs =
+   sessions.  Counters and taps are always snapshotted (the snapshot is
+   canonical, so the fresh path and sessions produce identical bytes);
+   [copy_obs] also copies the stall accounts and finish times so a later
+   in-place reset cannot disturb the result. *)
+let execute env (port : Memsys.port) shape finish_times ~copy_obs =
   Array.iter Proc_frontend.start env.frontends;
   (match Wo_sim.Engine.run env.engine with
   | `Idle -> ()
@@ -164,24 +186,20 @@ let execute env (port : Memsys.port) finish_times ~copy_obs =
                 (port.Memsys.debug_dump ()))))
     env.frontends;
   port.Memsys.check_drained ();
-  let program = env.program in
   let memory =
-    List.map
-      (fun loc -> (loc, port.Memsys.final_value loc))
-      (Wo_prog.Program.locs program)
-  in
-  let observable p r =
-    match program.Wo_prog.Program.observable with
-    | None -> true
-    | Some l -> List.mem (p, r) l
+    List.map (fun loc -> (loc, port.Memsys.final_value loc)) shape.sh_locs
   in
   let registers =
     Array.to_list env.frontends
     |> List.concat_map (fun fe ->
            let p = Proc_frontend.proc fe in
-           Proc_frontend.registers fe
-           |> List.filter (fun (r, _) -> observable p r)
-           |> List.map (fun (r, v) -> (p, r, v)))
+           let regs = Proc_frontend.registers fe in
+           let regs =
+             match shape.sh_observable.(p) with
+             | None -> regs
+             | Some keep -> List.filter (fun (r, _) -> List.mem r keep) regs
+           in
+           List.map (fun (r, v) -> (p, r, v)) regs)
   in
   let trace = Wo_sim.Trace.create () in
   List.iter
@@ -217,9 +235,9 @@ let execute env (port : Memsys.port) finish_times ~copy_obs =
     ~outcome:(Wo_prog.Outcome.make ~registers ~memory)
     ~trace ~cycles:(now env)
     ~proc_finish:(if copy_obs then Array.copy finish_times else finish_times)
-    ~stats:(Wo_sim.Stats.to_list env.stats)
+    ~counters:(Wo_sim.Stats.snapshot env.stats)
     ~stalls:(if copy_obs then Wo_obs.Stall.copy env.stalls else env.stalls)
-    ~taps:(if copy_obs then Wo_obs.Tap.copy env.taps else env.taps)
+    ~taps:(Wo_obs.Tap.copy env.taps)
     ()
 
 let frontend_perform (port : Memsys.port) p = function
@@ -240,7 +258,7 @@ let run ~name ~local_cost ~build ~seed (program : Wo_prog.Program.t) :
           ~perform:(frontend_perform port p)
           ~on_finish:(fun () -> finish_times.(p) <- now env)
           ());
-  execute env port finish_times ~copy_obs:false
+  execute env port (shape_of program) finish_times ~copy_obs:false
 
 (* --- sessions --------------------------------------------------------------- *)
 
@@ -252,6 +270,7 @@ type session_state = {
      program object is free. *)
   mutable sprog : Wo_prog.Program.t;
   mutable sart : Wo_prog.Prog_compile.t option;
+  mutable sshape : shape;  (* of [sprog] *)
 }
 
 let new_session ~name ~local_cost ~build (engine : Machine.engine) :
@@ -300,7 +319,7 @@ let new_session ~name ~local_cost ~build (engine : Machine.engine) :
                 ());
         let st =
           { senv = env; sport = port; sfinish = finish; sprog = program;
-            sart = art }
+            sart = art; sshape = shape_of program }
         in
         state := Some st;
         st
@@ -325,11 +344,12 @@ let new_session ~name ~local_cost ~build (engine : Machine.engine) :
           Proc_frontend.rebind fe ?compiled:art
             program.Wo_prog.Program.threads.(p))
         env.frontends;
+      if st.sprog != program then st.sshape <- shape_of program;
       st.sprog <- program;
       st.sart <- art
     end;
     Array.fill st.sfinish 0 (Array.length st.sfinish) (-1);
-    execute env st.sport st.sfinish ~copy_obs:true
+    execute env st.sport st.sshape st.sfinish ~copy_obs:true
   in
   { Machine.session_machine = name; session_engine = engine; session_run }
 

@@ -18,17 +18,22 @@ type result = {
           acknowledgements) drained *)
   proc_finish : int array;
       (** per-processor time of executing its last instruction *)
-  stats : (string * int) list;
-      (** counters, including the legacy [P<i>.stall.<reason>] view
-          derived from [stalls] *)
+  counters : Wo_sim.Stats.t;
+      (** the machine's own named counters ([cache.hits],
+          [network.messages], …): a {!Wo_sim.Stats.snapshot}, holding
+          only touched counters in name order *)
   stalls : Wo_obs.Stall.t;
       (** typed per-processor per-reason stall-cycle attribution; the
           source of truth {!stall}, {!total_stalls} and {!proc_stalls}
           read *)
   taps : Wo_obs.Tap.t;
       (** per-protocol-message-type counts and transit-latency
-          histograms *)
+          histograms: a {!Wo_obs.Tap.copy} snapshot, holding only the
+          message types seen, in name order *)
 }
+(** The result's record depends only on the simulation, never on what a
+    reused session ran before: every snapshot is canonical, so a session
+    result Marshals identically to a fresh {!run}'s. *)
 
 type engine = Compiled | Ast
 (** How a session executes thread code: [Compiled] steps the int-coded
@@ -115,16 +120,19 @@ val make_result :
   trace:Wo_sim.Trace.t ->
   cycles:int ->
   proc_finish:int array ->
-  ?stats:(string * int) list ->
+  ?counters:Wo_sim.Stats.t ->
   stalls:Wo_obs.Stall.t ->
   taps:Wo_obs.Tap.t ->
   unit ->
   result
-(** The single place {!result.stats} is assembled: [stats] (a machine's
-    own counters, default empty) followed by the legacy
-    [P<i>.stall.<reason>] view derived from [stalls] and the [msg.*]
-    counters derived from [taps].  Every machine builds its result here
-    so the derivation is not duplicated per driver. *)
+(** Assemble a result; [counters] defaults to an empty collector.  The
+    arguments are stored as given — callers pass snapshots. *)
+
+val stats : result -> (string * int) list
+(** The flat legacy stats view, built on demand: the machine's
+    [counters] (sorted by name), then the [P<i>.stall.<reason>] and
+    [stall.total] entries derived from [stalls], then the [msg.<type>]
+    counts derived from [taps].  The one place this view is derived. *)
 
 val check_lemma1 :
   ?init:(Wo_core.Event.loc -> Wo_core.Event.value) ->

@@ -50,10 +50,10 @@ let drain_delay_of = function
   | Tso { drain_delay; _ } | Pso { drain_delay; _ } | Ra { drain_delay; _ } ->
     drain_delay
 
-(* Messages between processors and memory modules (same protocol as the
-   uncached machine: modules apply operations atomically in arrival
+(* Messages between processors and memory modules: the uncached
+   machine's protocol (modules apply operations atomically in arrival
    order and reply with the application time). *)
-type amsg =
+type amsg = Uncached.amsg =
   | M_read of { loc : Wo_core.Event.loc; proc : int; tag : int }
   | M_write of {
       loc : Wo_core.Event.loc;
@@ -70,14 +70,6 @@ type amsg =
   | M_read_reply of { tag : int; value : Wo_core.Event.value; applied_at : int }
   | M_write_ack of { tag : int; applied_at : int }
   | M_rmw_reply of { tag : int; old : Wo_core.Event.value; applied_at : int }
-
-let amsg_tag = function
-  | M_read _ -> "Read"
-  | M_write _ -> "Write"
-  | M_rmw _ -> "Rmw"
-  | M_read_reply _ -> "ReadReply"
-  | M_write_ack _ -> "WriteAck"
-  | M_rmw_reply _ -> "RmwReply"
 
 type entry = { eloc : Wo_core.Event.loc; evalue : Wo_core.Event.value; etag : int }
 
@@ -102,7 +94,10 @@ let build (config : config) (env : Driver.env) : Memsys.port =
   let engine = env.Driver.engine in
   let num_procs = env.Driver.num_procs in
   let module_node loc = num_procs + (loc mod config.modules) in
-  let fabric = Driver.fabric env ~tag:amsg_tag config.fabric in
+  let fabric =
+    Driver.fabric env ~kind:Uncached.amsg_kind
+      ~kind_names:Uncached.amsg_kind_names config.fabric
+  in
   let per_loc_channels =
     match config.kind with Tso _ -> false | Pso _ | Ra _ -> true
   in
@@ -170,9 +165,14 @@ let build (config : config) (env : Driver.env) : Memsys.port =
           ctx.loc_waiters <- [])
         ctxs);
   let stall p reason cycles = Driver.stall env ~proc:p reason cycles in
-  let stat name = Wo_sim.Stats.incr env.Driver.stats name in
+  let counter = Wo_sim.Stats.counter env.Driver.stats in
+  let drains = counter "model.drains"
+  and deposits = counter "model.deposits"
+  and forwards = counter "model.forwards"
+  and barrier_drains = counter "model.barrier_drains"
+  and occupancy_max = counter "model.occupancy.max" in
   let note_occupancy p ctx =
-    Wo_sim.Stats.max_to env.Driver.stats "model.occupancy.max" ctx.total_pending;
+    Wo_sim.Stats.bump_max occupancy_max ctx.total_pending;
     if Wo_obs.Recorder.enabled env.Driver.obs then
       Wo_obs.Recorder.counter env.Driver.obs ~cat:Wo_obs.Recorder.Proc ~track:p
         ~name:"model.buffer" ~ts:(Wo_sim.Engine.now engine)
@@ -251,7 +251,7 @@ let build (config : config) (env : Driver.env) : Memsys.port =
     chan.inflight <- false;
     Hashtbl.replace ctx.pending_at loc (pending ctx loc - 1);
     ctx.total_pending <- ctx.total_pending - 1;
-    stat "model.drains";
+    Wo_sim.Stats.bump drains;
     note_occupancy p ctx;
     fire_loc_waiters ctx loc;
     drain p chan;
@@ -265,7 +265,7 @@ let build (config : config) (env : Driver.env) : Memsys.port =
     Hashtbl.replace ctx.last_value r.Memsys.oloc v;
     Hashtbl.replace ctx.pending_at r.Memsys.oloc (pending ctx r.Memsys.oloc + 1);
     ctx.total_pending <- ctx.total_pending + 1;
-    stat "model.deposits";
+    Wo_sim.Stats.bump deposits;
     note_occupancy p ctx;
     let chan = chan_of ctx r.Memsys.oloc in
     Queue.add { eloc = r.Memsys.oloc; evalue = v; etag = tag } chan.cq;
@@ -335,7 +335,7 @@ let build (config : config) (env : Driver.env) : Memsys.port =
           Driver.resume env p ~store:None ~delay:1)
     in
     let forward_read (r : Memsys.op) v =
-      stat "model.forwards";
+      Wo_sim.Stats.bump forwards;
       r.Memsys.rv <- Some v;
       r.Memsys.committed <- now ();
       r.Memsys.performed <- now ();
@@ -389,7 +389,7 @@ let build (config : config) (env : Driver.env) : Memsys.port =
     if barrier && not acquire then begin
       (* Release barrier: every pending write of this processor performs
          before the synchronization is issued. *)
-      if not (quiet ctx) then stat "model.barrier_drains";
+      if not (quiet ctx) then Wo_sim.Stats.bump barrier_drains;
       let t0 = Wo_sim.Engine.now engine in
       on_quiet ctx (fun () ->
           stall p Wo_obs.Stall.Release_gate (Wo_sim.Engine.now engine - t0);

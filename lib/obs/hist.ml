@@ -1,31 +1,60 @@
 let nbuckets = 64
 
+(* [counts] covers buckets [0, Array.length counts) — at least every
+   bucket used since the last [clear]; the rest of the 64 are implicitly
+   zero.  Snapshots trim it to [used], so their length is a function of
+   [max_v] alone. *)
 type t = {
-  counts : int array;
+  mutable counts : int array;
   mutable n : int;
   mutable total : int;
   mutable max_v : int;
 }
 
-let create () = { counts = Array.make nbuckets 0; n = 0; total = 0; max_v = 0 }
+let create () = { counts = [||]; n = 0; total = 0; max_v = 0 }
 
-let copy t =
-  { counts = Array.copy t.counts; n = t.n; total = t.total; max_v = t.max_v }
+let clear t =
+  Array.fill t.counts 0 (Array.length t.counts) 0;
+  t.n <- 0;
+  t.total <- 0;
+  t.max_v <- 0
 
-(* bucket 0: value 0; bucket i>0: values in [2^(i-1), 2^i). *)
+(* bucket 0: value 0; bucket i>0: values in [2^(i-1), 2^i) — the bit
+   length of [v], read from a table for each byte. *)
+let bits_table =
+  String.init 256 (fun v ->
+      let rec bits acc v = if v = 0 then acc else bits (acc + 1) (v lsr 1) in
+      Char.chr (bits 0 v))
+
 let bucket_of v =
-  let v = max 0 v in
-  let rec bits acc v = if v = 0 then acc else bits (acc + 1) (v lsr 1) in
-  min (nbuckets - 1) (bits 0 v)
+  if v <= 0 then 0
+  else if v < 256 then Char.code (String.unsafe_get bits_table v)
+  else
+    let rec go acc v =
+      if v < 256 then acc + Char.code (String.unsafe_get bits_table v)
+      else go (acc + 8) (v lsr 8)
+    in
+    min (nbuckets - 1) (go 0 v)
+
+let used t = if t.n = 0 then 0 else bucket_of t.max_v + 1
 
 let bounds i = if i = 0 then (0, 0) else (1 lsl (i - 1), (1 lsl i) - 1)
 
 let add t v =
   let v = max 0 v in
-  t.counts.(bucket_of v) <- t.counts.(bucket_of v) + 1;
+  let b = bucket_of v in
+  if b >= Array.length t.counts then begin
+    let counts = Array.make (b + 1) 0 in
+    Array.blit t.counts 0 counts 0 (Array.length t.counts);
+    t.counts <- counts
+  end;
+  Array.unsafe_set t.counts b (Array.unsafe_get t.counts b + 1);
   t.n <- t.n + 1;
   t.total <- t.total + v;
   if v > t.max_v then t.max_v <- v
+
+let copy t =
+  { counts = Array.sub t.counts 0 (used t); n = t.n; total = t.total; max_v = t.max_v }
 
 let count t = t.n
 
@@ -37,7 +66,7 @@ let mean t = if t.n = 0 then 0.0 else float_of_int t.total /. float_of_int t.n
 
 let buckets t =
   let acc = ref [] in
-  for i = nbuckets - 1 downto 0 do
+  for i = used t - 1 downto 0 do
     if t.counts.(i) > 0 then begin
       let lo, hi = bounds i in
       acc := (lo, hi, t.counts.(i)) :: !acc
@@ -46,12 +75,13 @@ let buckets t =
   !acc
 
 let merge a b =
-  let t = create () in
-  Array.iteri (fun i c -> t.counts.(i) <- c + b.counts.(i)) a.counts;
-  t.n <- a.n + b.n;
-  t.total <- a.total + b.total;
-  t.max_v <- max a.max_v b.max_v;
-  t
+  let at i h = if i < used h then h.counts.(i) else 0 in
+  {
+    counts = Array.init (max (used a) (used b)) (fun i -> at i a + at i b);
+    n = a.n + b.n;
+    total = a.total + b.total;
+    max_v = max a.max_v b.max_v;
+  }
 
 let to_json t =
   Json.Obj

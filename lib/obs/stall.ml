@@ -44,12 +44,19 @@ let reason_of_name s =
 
 let nreasons = List.length all_reasons
 
-let reason_index r =
-  let rec go i = function
-    | [] -> assert false
-    | x :: rest -> if x = r then i else go (i + 1) rest
-  in
-  go 0 all_reasons
+(* Position in [all_reasons]. *)
+let reason_index = function
+  | Read_miss -> 0
+  | Rmw_wait -> 1
+  | Rmw_order -> 2
+  | Sync_commit -> 3
+  | Release_gate -> 4
+  | Reserve_wait -> 5
+  | Counter_drain -> 6
+  | Buffer_full -> 7
+  | Buffer_drain -> 8
+  | Write_ack -> 9
+  | Migration -> 10
 
 type t = {
   mutable cells : int array array; (* proc -> per-reason cycles *)

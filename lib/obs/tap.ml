@@ -1,50 +1,62 @@
-type t = (string, Hist.t) Hashtbl.t
+(* Kind [k] is named [names.(k)] and recorded in [hists.(k)].  A kind is
+   present once it has a recorded message; registering one changes
+   nothing observable. *)
+type t = { mutable names : string array; mutable hists : Hist.t array }
 
-let create () : t = Hashtbl.create 16
+let create () = { names = [||]; hists = [||] }
 
-let clear (t : t) = Hashtbl.reset t
+let clear t = Array.iter Hist.clear t.hists
 
-let copy (t : t) : t =
-  (* Hashtbl.copy preserves bucket structure, so the copy Marshals
-     identically to the original; rebuilding via add would reverse
-     multi-entry buckets. *)
-  let c = Hashtbl.copy t in
-  Hashtbl.filter_map_inplace (fun _ h -> Some (Hist.copy h)) c;
-  c
-
-let record t ~name ~latency =
-  let h =
-    match Hashtbl.find_opt t name with
-    | Some h -> h
-    | None ->
-      let h = Hist.create () in
-      Hashtbl.add t name h;
-      h
+let kind t name =
+  let n = Array.length t.names in
+  let rec go i =
+    if i = n then begin
+      t.names <- Array.append t.names [| name |];
+      t.hists <- Array.append t.hists [| Hist.create () |];
+      n
+    end
+    else if String.equal t.names.(i) name then i
+    else go (i + 1)
   in
-  Hist.add h latency
+  go 0
+
+let record_kind t k ~latency = Hist.add (Array.unsafe_get t.hists k) latency
+
+let record t ~name ~latency = record_kind t (kind t name) ~latency
 
 let to_list t =
-  Hashtbl.fold (fun name h acc -> (name, Hist.count h, h) :: acc) t []
-  |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
+  let acc = ref [] in
+  Array.iteri
+    (fun k name ->
+      let h = t.hists.(k) in
+      if Hist.count h > 0 then acc := (name, Hist.count h, h) :: !acc)
+    t.names;
+  List.sort (fun (a, _, _) (b, _, _) -> compare a b) !acc
 
-let total t = Hashtbl.fold (fun _ h acc -> acc + Hist.count h) t 0
+let copy t =
+  let present = to_list t in
+  {
+    names = Array.of_list (List.map (fun (name, _, _) -> name) present);
+    hists = Array.of_list (List.map (fun (_, _, h) -> Hist.copy h) present);
+  }
+
+let total t = Array.fold_left (fun acc h -> acc + Hist.count h) 0 t.hists
 
 let to_stats t =
   List.map (fun (name, count, _) -> ("msg." ^ name, count)) (to_list t)
 
 let merge a b =
   let t = create () in
-  let absorb (src : t) =
-    Hashtbl.iter
-      (fun name h ->
-        match Hashtbl.find_opt t name with
-        | Some existing -> Hashtbl.replace t name (Hist.merge existing h)
-        | None -> Hashtbl.add t name (Hist.merge (Hist.create ()) h))
-      src
+  let absorb src =
+    List.iter
+      (fun (name, _, h) ->
+        let k = kind t name in
+        t.hists.(k) <- Hist.merge t.hists.(k) h)
+      (to_list src)
   in
   absorb a;
   absorb b;
-  t
+  copy t
 
 let to_json t =
   Json.List

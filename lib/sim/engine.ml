@@ -42,13 +42,17 @@ type stop_reason = [ `Idle | `Time_limit | `Event_limit ]
 
 let initial_capacity = 64
 
+(* The empty closure-table entry.  One shared value, so [clear] can tell
+   an already-empty slot by physical equality. *)
+let nop () = ()
+
 let create () =
   {
     now = 0;
     times = Array.make initial_capacity 0;
     seqs = Array.make initial_capacity 0;
     slots = Array.make initial_capacity 0;
-    fns = Array.make initial_capacity ignore;
+    fns = Array.make initial_capacity nop;
     free = Array.init initial_capacity (fun i -> i);
     free_top = initial_capacity;
     size = 0;
@@ -63,7 +67,9 @@ let pending t = t.size
    leaves parked closures in [fns] and a partially-consumed free stack,
    so every slot is reset and every closure dropped — the cleared engine
    retains nothing from the previous simulation and schedules events in
-   exactly the order a fresh [create] would (time 0, seq 0). *)
+   exactly the order a fresh [create] would (time 0, seq 0).  A drained
+   run left every slot empty, so only the debris of an aborted run pays
+   a write barrier. *)
 let clear t =
   t.now <- 0;
   t.size <- 0;
@@ -71,7 +77,7 @@ let clear t =
   let cap = Array.length t.times in
   for i = 0 to cap - 1 do
     t.free.(i) <- i;
-    t.fns.(i) <- ignore
+    if t.fns.(i) != nop then t.fns.(i) <- nop
   done;
   t.free_top <- cap
 
@@ -85,7 +91,7 @@ let grow t =
   t.times <- extend t.times 0;
   t.seqs <- extend t.seqs 0;
   t.slots <- extend t.slots 0;
-  t.fns <- extend t.fns ignore;
+  t.fns <- extend t.fns nop;
   t.free <- extend t.free 0;
   (* grow only runs with capacity = size, so the free stack is empty:
      refill it with the fresh closure-table indices. *)
@@ -194,7 +200,7 @@ let try_step_inline t ~delay =
 let pop t =
   let slot = t.slots.(0) in
   let f = t.fns.(slot) in
-  t.fns.(slot) <- ignore;
+  t.fns.(slot) <- nop;
   t.free.(t.free_top) <- slot;
   t.free_top <- t.free_top + 1;
   t.size <- t.size - 1;

@@ -4,7 +4,7 @@
    byte-identical — same Marshal fingerprint of the full [Machine.result]
    — to a fresh-construction AST run, the oracle the rest of the suite
    already trusts.  Fingerprinting the whole record (outcome, trace,
-   cycles, per-proc finish times, stats, stalls, taps) means a divergence
+   cycles, per-proc finish times, counters, stalls, taps) means a divergence
    anywhere in the observable record fails, not just in the outcome. *)
 
 module M = Wo_machines.Machine
@@ -239,6 +239,60 @@ let test_counters () =
   check "runs counted" true (M.runs () >= runs0 + 2);
   check "second run reused the session" true (M.session_reuses () > reuse0)
 
+(* 6. Snapshots are canonical: a session runs A, then B, which touches
+   counters and message kinds A does not (a reserve bit; a migration),
+   then A again.  B's registrations and histogram growth stay in the
+   session's collectors, so each result must still Marshal exactly like a
+   fresh run's — same counters, kinds and histogram buckets, in the same
+   order. *)
+let test_session_snapshots_canonical () =
+  let module I = Wo_prog.Instr in
+  let module N = Wo_prog.Names in
+  let migrating =
+    Wo_machines.Coherent.make ~name:"machpath-migrate" ~description:""
+      ~sequentially_consistent:false ~weakly_ordered_drf0:true
+      {
+        P.wo_new_config with
+        Wo_machines.Coherent.migrations =
+          [
+            {
+              Wo_machines.Coherent.thread = 1;
+              before_seq = 1;
+              to_cache = 2;
+              unsafe = false;
+            };
+          ];
+      }
+  in
+  (* P1 issues one operation, so the migration before its second never
+     fires *)
+  let unmigrated =
+    Wo_prog.Program.make ~name:"one-op-each"
+      [ [ I.Write (N.x, I.Const 1) ]; [ I.Write (N.y, I.Const 1) ] ]
+  in
+  List.iter
+    (fun (machine, a, b, touched) ->
+      let session = M.new_session machine M.Compiled in
+      let run p = M.session_run session ~seed:1 p in
+      let ra = run a in
+      let rb = run b in
+      let ra' = run a in
+      check
+        (Printf.sprintf "%s: B touches %s, A does not" machine.M.name touched)
+        true
+        (List.mem_assoc touched (M.stats rb)
+        && not (List.mem_assoc touched (M.stats ra)));
+      List.iter
+        (fun (label, r, p) ->
+          if fingerprint r <> fresh_fp machine ~seed:1 p then
+            Alcotest.failf "%s: %s <> fresh run" machine.M.name label)
+        [ ("A", ra, a); ("B", rb, b); ("A after B", ra', a) ])
+    [
+      (P.wo_new, L.dekker_sync.L.program, L.sb_acquire.L.program,
+       "cache.reserves");
+      (migrating, unmigrated, L.dekker_sync.L.program, "machine.migrations");
+    ]
+
 let tests =
   [
     Alcotest.test_case "compiled sessions = fresh AST (all tests x presets)"
@@ -256,4 +310,6 @@ let tests =
       `Quick test_campaign_engine_identity;
     Alcotest.test_case "machine counters account runs and reuse" `Quick
       test_counters;
+    Alcotest.test_case "session snapshots are canonical (A, B, A)" `Quick
+      test_session_snapshots_canonical;
   ]

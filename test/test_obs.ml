@@ -128,7 +128,142 @@ let test_tap () =
     (List.map fst (Wo_obs.Tap.to_stats t) = [ "msg.GetS"; "msg.Inv" ]);
   let t2 = Wo_obs.Tap.create () in
   Wo_obs.Tap.record t2 ~name:"Inv" ~latency:2;
-  check_int "merge total" 4 (Wo_obs.Tap.total (Wo_obs.Tap.merge t t2))
+  check_int "merge total" 4 (Wo_obs.Tap.total (Wo_obs.Tap.merge t t2));
+  (* kinds resolve once and record by index; registering shows nothing *)
+  let k = Wo_obs.Tap.kind t "Recall" in
+  check_int "kind is stable" k (Wo_obs.Tap.kind t "Recall");
+  check "registered kind absent" true
+    (List.map fst (Wo_obs.Tap.to_stats t) = [ "msg.GetS"; "msg.Inv" ]);
+  Wo_obs.Tap.record_kind t k ~latency:300;
+  check "recorded kind present" true
+    (Wo_obs.Tap.to_stats t
+    = [ ("msg.GetS", 2); ("msg.Inv", 1); ("msg.Recall", 1) ]);
+  (* cleared in place, then reused: the snapshot equals a fresh tap's *)
+  Wo_obs.Tap.clear t;
+  check_int "cleared" 0 (Wo_obs.Tap.total t);
+  Wo_obs.Tap.record t ~name:"Inv" ~latency:2;
+  check "reused snapshot = fresh snapshot" true
+    (Marshal.to_string (Wo_obs.Tap.copy t) []
+    = Marshal.to_string (Wo_obs.Tap.copy t2) [])
+
+(* The pre-compaction histogram: all 64 buckets, bit length by
+   recursion. *)
+let ref_bucket v =
+  let rec bits acc v = if v = 0 then acc else bits (acc + 1) (v lsr 1) in
+  min 63 (bits 0 (max 0 v))
+
+let ref_hist vs =
+  let counts = Array.make 64 0 in
+  List.iter (fun v -> counts.(ref_bucket v) <- counts.(ref_bucket v) + 1) vs;
+  let buckets =
+    List.filter_map
+      (fun i ->
+        if counts.(i) = 0 then None
+        else
+          let lo, hi = if i = 0 then (0, 0) else (1 lsl (i - 1), (1 lsl i) - 1) in
+          Some (lo, hi, counts.(i)))
+      (List.init 64 Fun.id)
+  in
+  let n = List.length vs in
+  let sum = List.fold_left (fun a v -> a + max 0 v) 0 vs in
+  let json =
+    J.Obj
+      [
+        ("count", J.Int n);
+        ("sum", J.Int sum);
+        ("mean", J.Float (if n = 0 then 0.0 else float_of_int sum /. float_of_int n));
+        ("max", J.Int (List.fold_left max 0 vs));
+        ( "buckets",
+          J.List
+            (List.map
+               (fun (lo, hi, c) ->
+                 J.Obj [ ("lo", J.Int lo); ("hi", J.Int hi); ("n", J.Int c) ])
+               buckets) );
+      ]
+  in
+  (buckets, json)
+
+let hist_of vs =
+  let h = Wo_obs.Hist.create () in
+  List.iter (Wo_obs.Hist.add h) vs;
+  h
+
+let hist_values =
+  let open QCheck.Gen in
+  let pow2 = map (fun k -> 1 lsl k) (int_range 0 61) in
+  list_size (int_range 0 12)
+    (oneof
+       [
+         return 0;
+         int_range (-300) (-1);
+         int_range 0 600;
+         map2 (fun p d -> p + d) pow2 (int_range (-1) 1);
+         int_range 256 max_int;
+       ])
+
+let prop_hist_matches_reference =
+  QCheck.Test.make ~name:"compact Hist = 64-bucket reference" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(pair (list int) (list int))
+       (QCheck.Gen.pair hist_values hist_values))
+    (fun (a, b) ->
+      let module H = Wo_obs.Hist in
+      let same h vs =
+        let buckets, json = ref_hist vs in
+        H.buckets h = buckets && H.to_json h = json
+      in
+      let reused =
+        let h = hist_of a in
+        H.clear h;
+        List.iter (H.add h) b;
+        h
+      in
+      List.for_all (fun v -> H.bucket_of v = ref_bucket v) (a @ b)
+      && same (hist_of a) a
+      && same (H.merge (hist_of a) (hist_of b)) (a @ b)
+      && same (H.copy (hist_of a)) a
+      && same reused b
+      && Marshal.to_string (H.copy reused) []
+         = Marshal.to_string (H.copy (hist_of b)) [])
+
+(* --- Pinned observable record ------------------------------------------------ *)
+
+(* The legacy stats view, the stall accounts and the message taps,
+   rendered together for (figure1, dekker-sync) x four machines x seeds
+   1-2.  The digest was taken from the string-keyed bookkeeping this
+   representation replaced; any drift in a counter, a stall account or a
+   histogram bucket changes it. *)
+let pinned_record_digest = "4e849d18defb632dc5cf38fe97a77059"
+
+let render_observable (r : M.result) =
+  let b = Buffer.create 256 in
+  List.iter
+    (fun (k, v) -> Buffer.add_string b (Printf.sprintf "%s=%d\n" k v))
+    (M.stats r);
+  Buffer.add_string b (J.to_string (Stall.to_json r.M.stalls));
+  Buffer.add_char b '\n';
+  Buffer.add_string b (J.to_string (Wo_obs.Tap.to_json r.M.taps));
+  Buffer.add_char b '\n';
+  Buffer.contents b
+
+let test_observable_record_pinned () =
+  let machines = [ P.wo_new; P.sc_dir; P.tso_wb; P.net_nocache_rp3 ] in
+  let sessions = List.map (fun m -> M.new_session m M.Compiled) machines in
+  let fresh = Buffer.create 4096 and reused = Buffer.create 4096 in
+  List.iter
+    (fun (t : L.t) ->
+      List.iter2
+        (fun m s ->
+          for seed = 1 to 2 do
+            Buffer.add_string fresh (render_observable (M.run m ~seed t.L.program));
+            Buffer.add_string reused
+              (render_observable (M.session_run s ~seed t.L.program))
+          done)
+        machines sessions)
+    [ L.figure1; L.dekker_sync ];
+  let digest b = Digest.to_hex (Digest.string (Buffer.contents b)) in
+  check_string "fresh runs" pinned_record_digest (digest fresh);
+  check_string "session runs" pinned_record_digest (digest reused)
 
 (* --- Stall ------------------------------------------------------------------ *)
 
@@ -225,6 +360,50 @@ let test_trace_deterministic () =
   check "different seed, different trace" true
     (Wo_obs.Export.perfetto_string a <> Wo_obs.Export.perfetto_string c)
 
+(* Sessions outlive recorder scopes: every component — the directory and
+   cache controllers included — must record into the recorder ambient
+   when a run starts, not the one ambient when the session was built. *)
+let events_by_category r =
+  List.fold_left
+    (fun (proc, cache, dir) -> function
+      | Rec.Span { cat; _ } | Rec.Instant { cat; _ } | Rec.Counter { cat; _ }
+        -> (
+        match cat with
+        | Rec.Proc -> (proc + 1, cache, dir)
+        | Rec.Cache -> (proc, cache + 1, dir)
+        | Rec.Dir -> (proc, cache, dir + 1)
+        | Rec.Net | Rec.Enum | Rec.Camp -> (proc, cache, dir)))
+    (0, 0, 0) (Rec.events r)
+
+let test_session_follows_ambient_recorder () =
+  let program = L.figure1.L.program in
+  let fresh, _ = record_run P.wo_new ~seed:1 program in
+  let want = events_by_category fresh in
+  let pp (p, c, d) = Printf.sprintf "proc=%d cache=%d dir=%d" p c d in
+  check "fresh run records cache and directory events" true
+    (let _, c, d = want in
+     c > 0 && d > 0);
+  (* built outside any scope, then run inside one *)
+  let outside = M.new_session P.wo_new M.Compiled in
+  ignore (M.session_run outside ~seed:1 program);
+  let r = Rec.create () in
+  Rec.with_sink r (fun () -> ignore (M.session_run outside ~seed:1 program));
+  check_string "outside-built session records like a fresh run" (pp want)
+    (pp (events_by_category r));
+  (* built inside a scope, then run after it ended *)
+  let dead = Rec.create () in
+  let inside =
+    Rec.with_sink dead (fun () ->
+        let s = M.new_session P.wo_new M.Compiled in
+        ignore (M.session_run s ~seed:1 program);
+        s)
+  in
+  check_string "inside-built session records like a fresh run" (pp want)
+    (pp (events_by_category dead));
+  let n = Rec.length dead in
+  ignore (M.session_run inside ~seed:1 program);
+  check_int "no event reaches the ended scope's recorder" n (Rec.length dead)
+
 (* --- The Figure-3 claim, in stall-attribution terms ------------------------- *)
 
 let test_figure3_attribution () =
@@ -289,12 +468,17 @@ let tests =
     Alcotest.test_case "ambient sink" `Quick test_ambient_sink;
     Alcotest.test_case "histogram" `Quick test_hist;
     Alcotest.test_case "message taps" `Quick test_tap;
+    QCheck_alcotest.to_alcotest prop_hist_matches_reference;
+    Alcotest.test_case "observable record pinned" `Quick
+      test_observable_record_pinned;
     Alcotest.test_case "stall accounts" `Quick test_stall_accounts;
     Alcotest.test_case "stall reason names" `Quick
       test_stall_reason_names_roundtrip;
     Alcotest.test_case "metrics envelope" `Quick test_metrics_envelope;
     Alcotest.test_case "perfetto parse-back" `Quick test_perfetto_parse_back;
     Alcotest.test_case "trace determinism" `Quick test_trace_deterministic;
+    Alcotest.test_case "sessions follow the ambient recorder" `Quick
+      test_session_follows_ambient_recorder;
     Alcotest.test_case "figure-3 stall attribution" `Quick
       test_figure3_attribution;
     QCheck_alcotest.to_alcotest prop_stall_accounting_consistent;

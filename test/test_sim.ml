@@ -216,7 +216,45 @@ let test_stats () =
   Alcotest.(check (list (pair string int)))
     "to_list sorted"
     [ ("a", 2); ("b", 10); ("m", 5) ]
-    (Stats.to_list s)
+    (Stats.to_list s);
+  (* touching with zero lists the counter; a max below the current value
+     (or a never-positive max) registers nothing *)
+  Stats.add s "z" 0;
+  Stats.max_to s "m" 4;
+  Stats.max_to s "neg" (-1);
+  Stats.max_to s "zero" 0;
+  Alcotest.(check (list (pair string int)))
+    "add 0 listed, low max_to not"
+    [ ("a", 2); ("b", 10); ("m", 5); ("z", 0) ]
+    (Stats.to_list s);
+  (* resolved counters bump the same slots the names read *)
+  let c = Stats.counter s "c" and a = Stats.counter s "a" in
+  check "registering lists nothing" true
+    (List.assoc_opt "c" (Stats.to_list s) = None);
+  Stats.bump a;
+  Stats.bump_by c 4;
+  Stats.bump_max c 3;
+  check_int "bump" 3 (Stats.get s "a");
+  check_int "bump_by, bump_max below" 4 (Stats.get s "c");
+  (* clear leaves no residue, and the resolved counters stay live *)
+  Stats.clear s;
+  Alcotest.(check (list (pair string int))) "cleared" [] (Stats.to_list s);
+  check_int "cleared get" 0 (Stats.get s "b");
+  check "cleared snapshot = fresh collector" true
+    (Marshal.to_string (Stats.snapshot s) []
+    = Marshal.to_string (Stats.create ()) []);
+  Stats.bump c;
+  Alcotest.(check (list (pair string int)))
+    "counter survives clear" [ ("c", 1) ] (Stats.to_list s);
+  (* snapshots depend on contents, not on registration order *)
+  let t = Stats.create () in
+  Stats.incr t "zz";
+  Stats.incr t "c";
+  Stats.clear t;
+  Stats.bump (Stats.counter t "c");
+  check "snapshot canonical" true
+    (Marshal.to_string (Stats.snapshot s) []
+    = Marshal.to_string (Stats.snapshot t) [])
 
 (* --- trace ------------------------------------------------------------------ *)
 
