@@ -293,6 +293,116 @@ let test_session_snapshots_canonical () =
       (migrating, unmigrated, L.dekker_sync.L.program, "machine.migrations");
     ]
 
+(* 10. The full observable record, pinned.  The lockstep tests above
+   compare two paths that share the protocol code, so a protocol change
+   that reorders one event (and with it one latency draw) would move both
+   sides together.  This renders every [Machine.result] field
+   canonically — outcome, trace entries with their issue / commit /
+   perform times, cycles, per-processor finish times, the legacy stats
+   view, stall and tap JSON — over:
+   - every catalogued litmus test on every coherent preset, seeds 1-3;
+   - every workload on wo-new and sc-dir with two- and three-line caches
+     (eviction, victim choice and write-back crossings);
+   - the [Machine_error] text of the coarse-counter deadlock, which
+     embeds both components' [debug_dump] in line-table order;
+   and pins one digest over all of it. *)
+let pinned_full_record_digest = "16855040038d4bdcf11bc911457932f8"
+
+let render_result (r : M.result) =
+  let b = Buffer.create 1024 in
+  let add fmt = Printf.bprintf b fmt in
+  add "%s\n" (Format.asprintf "%a" Wo_prog.Outcome.pp r.M.outcome);
+  List.iter
+    (fun (e : Wo_sim.Trace.entry) ->
+      add "%d/%d/%d %s\n" e.Wo_sim.Trace.issued e.Wo_sim.Trace.committed
+        e.Wo_sim.Trace.performed
+        (Format.asprintf "%a#%d.%d" Wo_core.Event.pp e.Wo_sim.Trace.event
+           e.Wo_sim.Trace.event.Wo_core.Event.id
+           e.Wo_sim.Trace.event.Wo_core.Event.seq))
+    (Wo_sim.Trace.entries r.M.trace);
+  add "cycles=%d finish=%s\n" r.M.cycles
+    (String.concat "," (Array.to_list (Array.map string_of_int r.M.proc_finish)));
+  List.iter (fun (k, v) -> add "%s=%d\n" k v) (M.stats r);
+  add "%s\n" (Wo_obs.Json.to_string (Wo_obs.Stall.to_json r.M.stalls));
+  add "%s\n" (Wo_obs.Json.to_string (Wo_obs.Tap.to_json r.M.taps));
+  Buffer.contents b
+
+let coherent_presets =
+  [ P.sc_dir; P.bus_cache_wb; P.net_cache_relaxed; P.wo_old; P.wo_new;
+    P.wo_new_drf1 ]
+
+let with_capacity (name, config) cap =
+  Wo_machines.Coherent.make
+    ~name:(Printf.sprintf "%s-cap%d" name cap)
+    ~description:"" ~sequentially_consistent:false ~weakly_ordered_drf0:true
+    {
+      config with
+      Wo_machines.Coherent.cache =
+        {
+          config.Wo_machines.Coherent.cache with
+          Wo_cache.Cache_ctrl.capacity = Some cap;
+        };
+    }
+
+let full_record_text () =
+  let b = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun (machine : M.t) ->
+      let session = M.new_session machine M.Compiled in
+      List.iter
+        (fun (t : L.t) ->
+          for seed = 1 to 3 do
+            Printf.bprintf b "== %s %s %d\n" machine.M.name t.L.name seed;
+            Buffer.add_string b
+              (render_result (M.session_run session ~seed t.L.program))
+          done)
+        L.all)
+    coherent_presets;
+  List.iter
+    (fun base ->
+      List.iter
+        (fun cap ->
+          let machine = with_capacity base cap in
+          let session = M.new_session machine M.Compiled in
+          List.iter
+            (fun (w : Wo_workload.Workload.t) ->
+              Printf.bprintf b "== %s %s\n" machine.M.name
+                w.Wo_workload.Workload.name;
+              Buffer.add_string b
+                (render_result
+                   (M.session_run session ~seed:1
+                      w.Wo_workload.Workload.program)))
+            Wo_workload.Workload.all)
+        [ 2; 3 ])
+    [ ("wo-new", P.wo_new_config); ("sc-dir", P.sc_dir_config) ];
+  let program =
+    Wo_litmus.Random_prog.lock_disciplined ~seed:4 ~procs:3
+      ~sections_per_proc:4 ~locks:3 ~shared_locs:3 ()
+  in
+  let coarse =
+    Wo_machines.Coherent.make ~name:"machpath-coarse" ~description:""
+      ~sequentially_consistent:false ~weakly_ordered_drf0:true
+      {
+        P.wo_new_config with
+        Wo_machines.Coherent.fabric =
+          Wo_machines.Coherent.Net { base = 2; jitter = 20 };
+        cache =
+          {
+            P.wo_new_config.Wo_machines.Coherent.cache with
+            Wo_cache.Cache_ctrl.coarse_counter = true;
+          };
+      }
+  in
+  (match M.run coarse ~seed:2 program with
+  | _ -> Alcotest.fail "the coarse-counter instance no longer deadlocks"
+  | exception M.Machine_error msg -> Printf.bprintf b "== error\n%s\n" msg);
+  Buffer.contents b
+
+let test_full_record_pinned () =
+  Alcotest.(check string)
+    "full record digest" pinned_full_record_digest
+    (Digest.to_hex (Digest.string (full_record_text ())))
+
 let tests =
   [
     Alcotest.test_case "compiled sessions = fresh AST (all tests x presets)"
@@ -312,4 +422,6 @@ let tests =
       test_counters;
     Alcotest.test_case "session snapshots are canonical (A, B, A)" `Quick
       test_session_snapshots_canonical;
+    Alcotest.test_case "full observable record pinned" `Quick
+      test_full_record_pinned;
   ]
