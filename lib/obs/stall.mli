@@ -49,8 +49,9 @@ type t
 val create : unit -> t
 
 val clear : t -> unit
-(** Forget everything, in place, returning the collector to its
-    freshly-created shape (rows regrow lazily on the next run). *)
+(** Forget everything, in place.  Row storage is kept (zeroed) for the
+    next run, but the collector behaves — and copies — exactly like a
+    freshly-created one. *)
 
 val copy : t -> t
 (** Deep copy — identical contents and array shapes, no aliasing. *)
@@ -60,6 +61,10 @@ val add : t -> ?sink:Recorder.t -> ?now:int -> proc:int -> reason -> int -> unit
     ignored.  With [~sink] and [~now] (the cycle the wait ended), also
     emits a span [\[now - cycles, now\]] named [stall.<reason>] on track
     [proc]. *)
+
+val add_at : t -> sink:Recorder.t -> now:int -> proc:int -> reason -> int -> unit
+(** [add] with both [~sink] and [~now] given, without boxing them into
+    options on every call (the machines' per-operation path). *)
 
 val get : t -> proc:int -> reason -> int
 
