@@ -11,7 +11,7 @@
      identical to fresh-construction AST runs — the oracle — at every
      seed, and sweep campaigns report identically at every engine and
      domain count;
-   - allocation: >=3x fewer allocated bytes/run ([Gc.allocated_bytes])
+   - allocation: >=3x fewer allocated bytes/run ([Gc.minor_words])
      at full bounds, since the session neither rebuilds the machine nor
      re-walks the instruction tree (measured: ~8x on multi-proc compute,
      ~40x on frontend-bound rows, ~1.2x on protocol-bound litmus rows);
@@ -52,14 +52,19 @@ type row = {
   r_identical : bool;  (** per-seed result fingerprints equal *)
 }
 
+(* Allocation is read from [Gc.minor_words], which counts up to the
+   current allocation point; [Gc.allocated_bytes] only advances at
+   collections, which makes short loops meaningless.  Machine runs
+   allocate nothing directly in the major heap, so minor words are the
+   whole of it, and the count is deterministic. *)
 let measure_loop ~runs ~base_seed f =
-  let a0 = Gc.allocated_bytes () in
+  let w0 = Gc.minor_words () in
   let t0 = now () in
   for seed = base_seed to base_seed + runs - 1 do
     ignore (f ~seed : M.result)
   done;
   let seconds = now () -. t0 in
-  let bytes = Gc.allocated_bytes () -. a0 in
+  let bytes = (Gc.minor_words () -. w0) *. float_of_int (Sys.word_size / 8) in
   (seconds, bytes /. float_of_int runs)
 
 let measure ~runs ~name (machine : M.t) program =
@@ -152,15 +157,31 @@ let run () =
            ]))
   in
   let of_litmus (t : L.t) = (t.L.name, t.L.program) in
+  (* The first case a campaign synthesizes for a family: the shape the
+     campaign grid actually runs, protocol-bound like the litmus rows. *)
+  let synthesized family =
+    match
+      Wo_synth.Synth.batch
+        ~corpus:(Wo_campaign.Campaign.catalogue_corpus ())
+        ~family ~base_seed:1 ~count:1 ()
+    with
+    | Ok (c :: _) -> (family, c.Wo_synth.Synth.program)
+    | Ok [] -> failwith ("e17: empty batch for " ^ family)
+    | Error e -> failwith ("e17: " ^ e)
+  in
   let grid =
     (if Exp_common.quick then
        [
          (P.wo_new, of_litmus L.figure1);
+         (P.wo_new, synthesized "cycle-drf0");
+         (P.wo_new, synthesized "cycle-mixed");
          (P.wo_new, ("compute200x2", compute ~iters:200 ~procs:2));
        ]
      else
        [
          (P.wo_new, of_litmus L.figure1);
+         (P.wo_new, synthesized "cycle-drf0");
+         (P.wo_new, synthesized "cycle-mixed");
          (P.wo_new, of_litmus L.dekker_sync);
          (P.sc_dir, of_litmus L.message_passing);
          (P.wo_new, of_litmus L.atomicity);
@@ -208,9 +229,13 @@ let run () =
          ])
        rows);
   let all_identical = List.for_all (fun r -> r.r_identical) rows in
-  (* The litmus rows are the protocol-bound shape campaigns run; their
-     session allocation is what the protocol-layer work is cutting. *)
-  let is_litmus r = List.exists (fun (t : L.t) -> t.L.name = r.r_program) L.all in
+  (* The litmus rows — catalogued and synthesized — are the
+     protocol-bound shape campaigns run; their session allocation is what
+     the protocol-layer work cuts, and CI gates its maximum. *)
+  let is_litmus r =
+    List.exists (fun (t : L.t) -> t.L.name = r.r_program) L.all
+    || List.mem r.r_program [ "cycle-drf0"; "cycle-mixed" ]
+  in
   let max_litmus_bytes =
     List.fold_left
       (fun a r -> if is_litmus r then max a r.compiled_bytes_per_run else a)
