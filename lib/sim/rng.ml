@@ -1,23 +1,37 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state lives unboxed in 8 bytes: a mutable [int64]
+   field would box a fresh [Int64] on every draw. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let next t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] state t = Bytes.get_int64_ne t 0
+let[@inline] set_state t z = Bytes.set_int64_ne t 0 z
 
-let make seed = { state = mix (Int64.of_int (seed * 2 + 1)) }
+let[@inline] next t =
+  let z = Int64.add (state t) golden_gamma in
+  set_state t z;
+  mix z
 
-let reseed t seed = t.state <- mix (Int64.of_int ((seed * 2) + 1))
+let seed_state seed = mix (Int64.of_int ((seed * 2) + 1))
 
-let split t = { state = mix (next t) }
+let make seed =
+  let t = Bytes.create 8 in
+  set_state t (seed_state seed);
+  t
 
-let split_into parent child = child.state <- mix (next parent)
+let reseed t seed = set_state t (seed_state seed)
+
+let split t =
+  let c = Bytes.create 8 in
+  set_state c (mix (next t));
+  c
+
+let split_into parent child = set_state child (mix (next parent))
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";

@@ -185,8 +185,32 @@ let test_names () =
   check_int "s" 6 N.s;
   check "distinct" true (List.length (List.sort_uniq compare [ N.x; N.y; N.z; N.a; N.b; N.c; N.s; N.t; N.u ]) = 9)
 
+(* [Outcome.make] sorts, and [Outcome.compare] orders, exactly like the
+   polymorphic [compare] on the same tuples they replaced — including
+   negative values, duplicates and lists of different lengths. *)
+let prop_outcome_order_matches_polymorphic =
+  let gen =
+    QCheck.Gen.(
+      let small = int_range (-3) 3 in
+      pair
+        (list_size (int_range 0 4) (triple small small small))
+        (list_size (int_range 0 3) (pair small small)))
+  in
+  QCheck.Test.make ~name:"Outcome order = polymorphic compare" ~count:500
+    (QCheck.make QCheck.Gen.(pair gen gen))
+    (fun ((ra, ma), (rb, mb)) ->
+      let module O = Wo_prog.Outcome in
+      let a = O.make ~registers:ra ~memory:ma
+      and b = O.make ~registers:rb ~memory:mb in
+      let sign x = Int.compare x 0 in
+      a.O.registers = List.sort compare ra
+      && a.O.memory = List.sort compare ma
+      && sign (O.compare a b)
+         = sign (compare (a.O.registers, a.O.memory) (b.O.registers, b.O.memory)))
+
 let tests =
   [
+    QCheck_alcotest.to_alcotest prop_outcome_order_matches_polymorphic;
     Alcotest.test_case "eval_expr" `Quick test_eval_expr;
     Alcotest.test_case "eval_cond" `Quick test_eval_cond;
     Alcotest.test_case "static analysis" `Quick test_static_analysis;
