@@ -109,7 +109,9 @@ let reset t =
   t.status <- Blocked;
   t.seq <- 0;
   t.fuse_budget <- fuse_budget_max;
-  Array.fill t.regs 0 (Array.length t.regs) 0;
+  for r = 0 to Array.length t.regs - 1 do
+    Array.unsafe_set t.regs r 0
+  done;
   match t.compiled with
   | Some c -> c.pc <- 0
   | None -> t.code <- t.code_full
