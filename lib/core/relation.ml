@@ -74,14 +74,26 @@ module Dense = struct
     words : int; (* 64-bit words per row *)
     bits : Bytes.t; (* n rows, row-major *)
     ids : int array; (* index -> original node id, ascending *)
-    index : (int, int) Hashtbl.t; (* original node id -> index *)
   }
 
   let size m = m.n
 
-  let create_like ids index n =
+  let create_like ids n =
     let words = (n + 63) / 64 in
-    { n; words; bits = Bytes.make (n * words * 8) '\000'; ids; index }
+    { n; words; bits = Bytes.make (n * words * 8) '\000'; ids }
+
+  (* Original node id -> index, by binary search over the ascending
+     [ids]; -1 when absent.  Cheaper than hashing for the queries the
+     happens-before checks make. *)
+  let index_of m id =
+    let rec go lo hi =
+      if lo >= hi then -1
+      else
+        let mid = (lo + hi) lsr 1 in
+        let x = Array.unsafe_get m.ids mid in
+        if x = id then mid else if x < id then go (mid + 1) hi else go lo mid
+    in
+    go 0 m.n
 
   let row_off m i = i * m.words * 8
 
@@ -109,19 +121,17 @@ module Dense = struct
   let of_sparse r =
     let n = Int_set.cardinal r.universe in
     let ids = Array.make n 0 in
-    let index = Hashtbl.create (2 * n + 1) in
     let i = ref 0 in
     Int_set.iter
       (fun id ->
         ids.(!i) <- id;
-        Hashtbl.replace index id !i;
         incr i)
       r.universe;
-    let m = create_like ids index n in
+    let m = create_like ids n in
     Int_map.iter
       (fun a s ->
-        let ia = Hashtbl.find index a in
-        Int_set.iter (fun b -> set_bit m ia (Hashtbl.find index b)) s)
+        let ia = index_of m a in
+        Int_set.iter (fun b -> set_bit m ia (index_of m b)) s)
       r.succ;
     m
 
@@ -138,9 +148,8 @@ module Dense = struct
     { succ = !succ; universe = Int_set.of_list (Array.to_list m.ids) }
 
   let mem a b m =
-    match (Hashtbl.find_opt m.index a, Hashtbl.find_opt m.index b) with
-    | Some i, Some j -> get_bit m i j
-    | _ -> false
+    let i = index_of m a and j = index_of m b in
+    i >= 0 && j >= 0 && get_bit m i j
 
   let copy m = { m with bits = Bytes.copy m.bits }
 
@@ -165,9 +174,9 @@ module Dense = struct
   let is_acyclic m = is_irreflexive (transitive_closure m)
 
   let reachable a m =
-    match Hashtbl.find_opt m.index a with
-    | None -> []
-    | Some i ->
+    match index_of m a with
+    | -1 -> []
+    | i ->
       let c = transitive_closure m in
       let out = ref [] in
       for j = m.n - 1 downto 0 do
