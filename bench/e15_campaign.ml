@@ -11,13 +11,17 @@
      campaign wall-clock vs cold-cache, target >= 10x on full bounds —
      the point of persisting verdicts at all;
    - store lookup latency: a histogram over per-key find times on a
-     store the size the campaign just built.
+     store the size the campaign just built;
+   - seed reuse: machine runs actually simulated per settled cell, below
+     the batch size when seed-free runs (bus and fixed-latency fabrics)
+     settle the rest of their batch.
 
    Results go to stdout and BENCH_campaign.json; CI gates on the
    speedup target at full bounds only (quick bounds shrink the campaign
    below where the cold run costs anything). *)
 
 module C = Wo_campaign.Campaign
+module M = Wo_machines.Machine
 module Store = Wo_campaign.Store
 module S = Wo_synth.Synth
 module L = Wo_litmus.Litmus
@@ -110,7 +114,18 @@ let run () =
   let config =
     { (C.default_config ~store_path) with C.runs = scaled 10 4; shard = 256 }
   in
+  let runs0 = M.runs ()
+  and reused0 = M.seed_runs_reused ()
+  and rebuilds0 = M.session_rebuilds () in
   let cold, cold_secs = time (fun () -> C.run config ~specs ~cases) in
+  (* Machine runs actually simulated per settled cell: below [runs]
+     whenever seed-free runs settle the rest of their batch. *)
+  let cold_machine_runs = M.runs () - runs0
+  and cold_reused = M.seed_runs_reused () - reused0
+  and cold_rebuilds = M.session_rebuilds () - rebuilds0 in
+  let runs_per_cell =
+    float_of_int cold_machine_runs /. float_of_int (max 1 cold.C.r_executed)
+  in
   let warm, warm_secs = time (fun () -> C.run config ~specs ~cases) in
   let speedup = cold_secs /. Float.max warm_secs 1e-9 in
   Printf.printf
@@ -122,6 +137,10 @@ let run () =
     cold.C.r_executed cold.C.r_sc_sets warm_secs warm.C.r_cache_hits
     warm.C.r_executed speedup
     (if speedup >= 10.0 then "(>= 10x target met)" else "(target 10x)");
+  Printf.printf
+    "  cold machine runs: %d (%.2f per settled cell of %d seeds; %d seeds \
+     settled by a seed-free run, %d session rebuilds)\n%!"
+    cold_machine_runs runs_per_cell config.C.runs cold_reused cold_rebuilds;
   let replay_ok =
     warm.C.r_executed = 0 && warm.C.r_cache_hits = warm.C.r_total
     && String.equal (C.findings_report cold) (C.findings_report warm)
@@ -191,6 +210,11 @@ let run () =
       ("warm_speedup_target_met", J.Bool (speedup >= 10.0));
       ("warm_replay_identical", J.Bool replay_ok);
       ("cold_executed", J.Int cold.C.r_executed);
+      ("runs", J.Int config.C.runs);
+      ("cold_machine_runs", J.Int cold_machine_runs);
+      ("machine_runs_per_cell", J.Float runs_per_cell);
+      ("seed_runs_reused", J.Int cold_reused);
+      ("session_rebuilds", J.Int cold_rebuilds);
       ("warm_executed", J.Int warm.C.r_executed);
       ("warm_cache_hits", J.Int warm.C.r_cache_hits);
       ("findings", J.Int (List.length cold.C.r_findings));

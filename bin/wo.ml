@@ -140,8 +140,12 @@ let machine_engine_fields engine =
         [
           ("machine.runs", Wo_obs.Json.Int (M.runs ()));
           ("machine.session_reuse", Wo_obs.Json.Int (M.session_reuses ()));
+          ( "machine.session_rebuilds",
+            Wo_obs.Json.Int (M.session_rebuilds ()) );
           ( "machine.compile_fallbacks",
             Wo_obs.Json.Int (M.compile_fallbacks ()) );
+          ( "machine.seed_runs_reused",
+            Wo_obs.Json.Int (M.seed_runs_reused ()) );
         ] );
   ]
 
@@ -1492,18 +1496,20 @@ let store_cmd =
         Printf.eprintf "wo store stats: %s: no such store\n" file;
         exit 1
       end;
-      let st = Wo_campaign.Store.openf file in
-      Fun.protect ~finally:(fun () -> Wo_campaign.Store.close st) @@ fun () ->
+      (* A read-only snapshot: looking at a store never changes it. *)
+      let module S = Wo_campaign.Store.Snapshot in
+      let sn = S.load file in
+      Fun.protect ~finally:(fun () -> S.close sn) @@ fun () ->
       let bytes = (Unix.stat file).Unix.st_size in
+      let unreadable = S.unreadable sn in
       Printf.printf
         "%s: %d record(s) (%d live, %d superseded), %d bytes%s\n" file
-        (Wo_campaign.Store.length st)
-        (Wo_campaign.Store.live st)
-        (Wo_campaign.Store.dead_estimate st)
-        bytes
-        (if Wo_campaign.Store.tail_dropped st > 0 then
-           Printf.sprintf " (%d torn-tail bytes truncated)"
-             (Wo_campaign.Store.tail_dropped st)
+        (S.length sn) (S.live sn) (S.superseded sn) bytes
+        (if unreadable > 0 then
+           Printf.sprintf
+             " (%d bytes after the last valid record unreadable, left in \
+              place)"
+             unreadable
          else "")
     in
     Cmd.v

@@ -336,16 +336,24 @@ let settle ?(engine = M.Compiled) memo ~domains config p indices =
   let fresh = List.map (fun idx -> p.p_cells.(idx)) indices in
   ensure_sc_sets memo ~domains fresh;
   (* Cells are laid out case-major, so consecutive indices alternate
-     specs.  Execution is regrouped spec-major: each worker's strided
-     walk then stays on one machine for long stretches, so its
-     per-domain session rebinds programs (cheap) instead of cycling
-     machines.  The verdicts are reassembled into input order — the
-     bytes cannot depend on the execution grouping. *)
+     specs.  Execution is regrouped spec-major, then by program width:
+     each worker's strided walk then stays on one machine shape for long
+     stretches, so its per-domain session rebinds programs (cheap)
+     instead of cycling machines or rebuilding for a new processor
+     count.  The verdicts are reassembled into input order — the bytes
+     cannot depend on the execution grouping. *)
   let grouped =
+    let width idx =
+      Wo_prog.Program.num_procs p.p_cells.(idx).c_test.L.program
+    in
     List.stable_sort
       (fun a b ->
-        String.compare p.p_cells.(a).c_machine.M.name
-          p.p_cells.(b).c_machine.M.name)
+        match
+          String.compare p.p_cells.(a).c_machine.M.name
+            p.p_cells.(b).c_machine.M.name
+        with
+        | 0 -> Int.compare (width a) (width b)
+        | c -> c)
       indices
   in
   let settled =

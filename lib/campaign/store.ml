@@ -461,6 +461,13 @@ module Snapshot = struct
 
   let length s = s.sn_view.v_count
 
+  let live s = Dmap.cardinal s.sn_view.v_index
+
+  let superseded s = length s - live s
+
+  let unreadable s =
+    max 0 ((Unix.fstat s.sn_fd).Unix.st_size - s.sn_view.v_tail)
+
   let find s ~key = view_find s.sn_view ~key
 
   let mem s ~key = view_find_entry s.sn_view ~key <> None

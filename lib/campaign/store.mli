@@ -133,6 +133,18 @@ module Snapshot : sig
 
   val length : s -> int
 
+  val live : s -> int
+  (** Records first for their key digest, counted as the read-write
+      handle's [live] counts them. *)
+
+  val superseded : s -> int
+  (** [length s - live s]: duplicates compaction would drop. *)
+
+  val unreadable : s -> int
+  (** Bytes of the file past the snapshot's last complete record, as of
+      now: an in-flight append, a torn tail, or everything after a
+      corrupt record.  Reported, never removed. *)
+
   val find : s -> key:string -> string option
 
   val mem : s -> key:string -> bool

@@ -47,24 +47,41 @@ let run ?(runs = 100) ?(base_seed = 1) ?check_lemma1 ?sc_outcomes
     | Some s -> s
     | None -> Wo_machines.Machine.new_session machine engine
   in
+  (* A run that drew no random value is the run at every seed, so it
+     settles the rest of the batch — unless a recorder is listening,
+     which must see every seed's events. *)
+  let may_reuse =
+    not (Wo_obs.Recorder.enabled (Wo_obs.Recorder.active ()))
+  in
+  let last = base_seed + runs - 1 in
   let observed = ref [] in
   let lemma1_failures = ref 0 in
   let total_cycles = ref 0 in
-  for seed = base_seed to base_seed + runs - 1 do
+  let seed = ref base_seed in
+  while !seed <= last do
     let r =
-      Wo_machines.Machine.session_run session ~seed ?compiled
+      Wo_machines.Machine.session_run session ~seed:!seed ?compiled
         test.Litmus.program
     in
-    observed := r.Wo_machines.Machine.outcome :: !observed;
-    total_cycles := !total_cycles + r.Wo_machines.Machine.cycles;
-    if check_lemma1 then
-      match
-        Wo_machines.Machine.check_lemma1
-          ~init:(Wo_prog.Program.initial_value test.Litmus.program)
-          r
-      with
-      | Ok () -> ()
-      | Error _ -> incr lemma1_failures
+    let copies =
+      if may_reuse && session.Wo_machines.Machine.session_seed_free () then
+        last - !seed + 1
+      else 1
+    in
+    if copies > 1 then Wo_machines.Machine.note_seed_runs_reused (copies - 1);
+    for _ = 1 to copies do
+      observed := r.Wo_machines.Machine.outcome :: !observed
+    done;
+    total_cycles := !total_cycles + (copies * r.Wo_machines.Machine.cycles);
+    (if check_lemma1 then
+       match
+         Wo_machines.Machine.check_lemma1
+           ~init:(Wo_prog.Program.initial_value test.Litmus.program)
+           r
+       with
+       | Ok () -> ()
+       | Error _ -> lemma1_failures := !lemma1_failures + copies);
+    seed := !seed + copies
   done;
   let observed = List.rev !observed in
   let histogram = histogram_of observed in

@@ -45,7 +45,16 @@ val run :
     through one machine session — [session] to share across calls
     (it must belong to this machine), [engine] (default [Compiled])
     selects the execution mode when the harness creates one, and
-    [compiled] passes the test program's pre-compiled artifact. *)
+    [compiled] passes the test program's pre-compiled artifact.
+
+    When a run leaves the session seed-free
+    ({!Wo_machines.Machine.session.session_seed_free}), its result
+    stands for every remaining seed of the batch: they are counted in
+    the histogram, the cycle total and the Lemma-1 failures without
+    being simulated (and {!Wo_machines.Machine.note_seed_runs_reused}
+    tallies them).  The report is the one running every seed would
+    produce.  While the ambient {!Wo_obs.Recorder} is enabled every
+    seed runs, so recorded events are unchanged. *)
 
 val appears_sc : report -> bool
 (** No violations and no Lemma-1 failures. *)

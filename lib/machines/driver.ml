@@ -1,3 +1,8 @@
+(* The run's random streams: [all.(0)] is the root, seeded per run, and
+   every stream split from it follows in split order.  [marks] holds each
+   stream's position when the current run started. *)
+type streams = { mutable all : Wo_sim.Rng.t array; mutable marks : int array }
+
 type env = {
   name : string;
   engine : Wo_sim.Engine.t;
@@ -5,7 +10,7 @@ type env = {
   stalls : Wo_obs.Stall.t;
   taps : Wo_obs.Tap.t;
   mutable obs : Wo_obs.Recorder.t;
-  rng : Wo_sim.Rng.t;
+  streams : streams;
   mutable program : Wo_prog.Program.t;
   num_procs : int;
   mutable frontends : Proc_frontend.t array;
@@ -17,6 +22,35 @@ type env = {
 let now env = Wo_sim.Engine.now env.engine
 
 let on_reset env hook = env.reset_hooks <- hook :: env.reset_hooks
+
+let root env = env.streams.all.(0)
+
+(* Split a component's stream from the root and register it: its hook
+   re-derives it on session reset (hooks replay in registration order,
+   so every split lands where it did at construction), and the
+   seed-free check watches its position. *)
+let stream env =
+  let s = Wo_sim.Rng.split (root env) in
+  let st = env.streams in
+  st.all <- Array.append st.all [| s |];
+  st.marks <- Array.make (Array.length st.all) 0;
+  on_reset env (fun () -> Wo_sim.Rng.split_into (root env) s);
+  s
+
+let mark_streams env =
+  let st = env.streams in
+  for i = 0 to Array.length st.all - 1 do
+    st.marks.(i) <- Wo_sim.Rng.position st.all.(i)
+  done
+
+(* No stream moved since [mark_streams]: the run drew no random value. *)
+let streams_unmoved env =
+  let st = env.streams in
+  let unmoved = ref true in
+  for i = 0 to Array.length st.all - 1 do
+    if Wo_sim.Rng.position st.all.(i) <> st.marks.(i) then unmoved := false
+  done;
+  !unmoved
 
 let stall_at env ~proc reason ~until cycles =
   Wo_obs.Stall.add_at env.stalls ~sink:env.obs ~now:until ~proc reason cycles
@@ -68,11 +102,8 @@ let fabric env ~kind:kind_of ~kind_names ?(slow_procs = [])
   | Memsys.Net _ | Memsys.Net_spiky _ | Memsys.Net_fixed _ ->
     (* The network gets its own stream, split at fabric construction —
        the split position is part of every machine's reproducibility
-       contract, so keep it here and nowhere else.  On session reset
-       the parent is reseeded and the hooks replay the splits in
-       registration (= construction) order, so the stream is restored
-       to exactly its fresh-construction state. *)
-    let net_rng = Wo_sim.Rng.split env.rng in
+       contract, so keep it here and nowhere else. *)
+    let net_rng = stream env in
     let latency =
       Wo_interconnect.Latency.of_spec net_rng
         (Option.get (Memsys.latency_spec kind))
@@ -90,9 +121,7 @@ let fabric env ~kind:kind_of ~kind_names ?(slow_procs = [])
         (Wo_interconnect.Network.create ~engine:env.engine ~stats:env.stats ~tap
            ~latency ())
     in
-    on_reset env (fun () ->
-        f.Wo_interconnect.Fabric.reset ();
-        Wo_sim.Rng.split_into env.rng net_rng);
+    on_reset env (fun () -> f.Wo_interconnect.Fabric.reset ());
     f
 
 (* Watchdog diagnostics: every machine reports the rich form — frontend
@@ -121,7 +150,7 @@ let build_env ~name ~seed (program : Wo_prog.Program.t) =
     stalls = Wo_obs.Stall.create ();
     taps = Wo_obs.Tap.create ();
     obs = Wo_obs.Recorder.active ();
-    rng = Wo_sim.Rng.make seed;
+    streams = { all = [| Wo_sim.Rng.make seed |]; marks = [| 0 |] };
     program;
     num_procs = Wo_prog.Program.num_procs program;
     frontends = [||];
@@ -141,7 +170,7 @@ let reset env ~seed ~(program : Wo_prog.Program.t) =
   Wo_obs.Stall.clear env.stalls;
   Wo_obs.Tap.clear env.taps;
   env.obs <- Wo_obs.Recorder.active ();
-  Wo_sim.Rng.reseed env.rng seed;
+  Wo_sim.Rng.reseed (root env) seed;
   env.program <- program;
   env.next_op_id <- 0;
   env.ops_rev <- [];
@@ -278,6 +307,7 @@ type session_state = {
 let new_session ~name ~local_cost ~build (engine : Machine.engine) :
     Machine.session =
   let state : session_state option ref = ref None in
+  let seed_free = ref false in
   let session_run ~seed ?compiled program =
     Machine.note_run ();
     let num_procs = Wo_prog.Program.num_procs program in
@@ -304,10 +334,11 @@ let new_session ~name ~local_cost ~build (engine : Machine.engine) :
       | Some st when st.senv.num_procs = num_procs ->
         Machine.note_session_reuse ();
         st
-      | _ ->
+      | previous ->
         (* First run, or a different machine width: (re)build the whole
            stack — ports and frontends capture [num_procs] in their
            closures and topology. *)
+        if previous <> None then Machine.note_session_rebuild ();
         let env = build_env ~name ~seed program in
         let port = build env in
         let finish = Array.make num_procs (-1) in
@@ -353,9 +384,19 @@ let new_session ~name ~local_cost ~build (engine : Machine.engine) :
     for p = 0 to Array.length st.sfinish - 1 do
       st.sfinish.(p) <- -1
     done;
-    execute env st.sport st.sshape st.sfinish ~copy_obs:true
+    (* Cleared first, so a run that raises never reads as seed-free. *)
+    seed_free := false;
+    mark_streams env;
+    let r = execute env st.sport st.sshape st.sfinish ~copy_obs:true in
+    seed_free := streams_unmoved env;
+    r
   in
-  { Machine.session_machine = name; session_engine = engine; session_run }
+  {
+    Machine.session_machine = name;
+    session_engine = engine;
+    session_run;
+    session_seed_free = (fun () -> !seed_free);
+  }
 
 let make ~name ~description ~sequentially_consistent ~weakly_ordered_drf0
     ~local_cost ~build : Machine.t =

@@ -14,8 +14,15 @@
     shape, then resets the environment in place between runs.  A port
     builder that keeps mutable state must register an {!on_reset} hook
     restoring it to its just-built state; the driver replays hooks in
-    registration order after reseeding [env.rng], so RNG splits recorded
-    in hooks restore component streams exactly. *)
+    registration order after reseeding the root random stream, so
+    every component stream split from it is restored exactly. *)
+
+type streams
+(** The run's random streams: the root, seeded per run, and every
+    stream split from it (today the network's, split in {!fabric}).
+    Abstract, so no component splits a stream the driver has not
+    registered — the seed-free check of {!new_session} must see them
+    all. *)
 
 type env = {
   name : string;
@@ -24,7 +31,7 @@ type env = {
   stalls : Wo_obs.Stall.t;
   taps : Wo_obs.Tap.t;
   mutable obs : Wo_obs.Recorder.t;  (** refreshed from the ambient sink on reset *)
-  rng : Wo_sim.Rng.t;  (** seed stream; split it per component *)
+  streams : streams;
   mutable program : Wo_prog.Program.t;
       (** the program of the current run; rebound by session resets, so
           ports must read it through [env], never capture it *)
@@ -45,8 +52,7 @@ val now : env -> int
 val on_reset : env -> (unit -> unit) -> unit
 (** Register a hook restoring component state on session reset.  Hooks
     run in registration order, after the engine/stats/stalls/taps are
-    cleared and [env.rng] is reseeded — so a hook that re-splits the
-    root RNG reproduces the draw its component took at build time. *)
+    cleared and the root stream is reseeded. *)
 
 val stall : env -> proc:int -> Wo_obs.Stall.reason -> int -> unit
 (** Attribute stall cycles ending now. *)
@@ -77,15 +83,15 @@ val fabric :
   Memsys.fabric_kind ->
   'msg Wo_interconnect.Fabric.t
 (** Build the interconnect: a bus, or a network whose latency model is
-    interpreted from the fabric kind with a dedicated RNG stream split
-    from [env.rng] (the split happens exactly once, here, so every
-    machine draws network jitter identically).  [slow_procs] /
+    interpreted from the fabric kind with a dedicated random stream
+    (split exactly once, here, so every machine draws network jitter
+    identically).  [slow_procs] /
     [slow_routes] wrap the model with node / route multipliers
     ({!Wo_interconnect.Latency.scale_nodes} / [scale_routes]); they are
     ignored by the bus, as before.  Every delivered message is recorded
     in [env.taps] under [kind_names.(kind msg)]; the names are resolved
-    to tap kinds once, here, so recording is an array index.  Registers its own {!on_reset} hook
-    (state drop + stream re-split), so builders need not. *)
+    to tap kinds once, here, so recording is an array index.  Registers
+    its own {!on_reset} hook (state drop), so builders need not. *)
 
 val run :
   name:string ->
@@ -118,7 +124,10 @@ val new_session :
     compiled at binding and cached while the same program stays bound),
     falling back to the AST walk when compilation is unavailable.
     Results are deep-copied out of the mutable observability state and
-    are byte-identical to fresh {!run} results. *)
+    are byte-identical to fresh {!run} results.  The session is
+    seed-free after a run ({!Machine.session.session_seed_free}) when
+    no stream's position moved between the start of the simulation and
+    its normal return. *)
 
 val make :
   name:string ->

@@ -33,6 +33,8 @@ let new_session engine =
       (fun ~seed ?compiled:_ program ->
         if !first then first := false else Machine.note_session_reuse ();
         run ~seed program);
+    (* the interpreter's scheduler draws from the seed on every step *)
+    session_seed_free = (fun () -> false);
   }
 
 let machine =

@@ -24,6 +24,7 @@ type session = {
   session_engine : engine;
   session_run :
     seed:int -> ?compiled:Wo_prog.Prog_compile.t -> Wo_prog.Program.t -> result;
+  session_seed_free : unit -> bool;
 }
 
 type t = {
@@ -50,15 +51,23 @@ let run_batch s ?compiled ~seeds program =
 (* Atomics: sweep/campaign workers run machines from several domains. *)
 let runs_count = Atomic.make 0
 let session_reuse_count = Atomic.make 0
+let session_rebuild_count = Atomic.make 0
 let compile_fallback_count = Atomic.make 0
+let seed_runs_reused_count = Atomic.make 0
 
 let note_run () = Atomic.incr runs_count
 let note_session_reuse () = Atomic.incr session_reuse_count
+let note_session_rebuild () = Atomic.incr session_rebuild_count
 let note_compile_fallback () = Atomic.incr compile_fallback_count
+
+let note_seed_runs_reused n =
+  ignore (Atomic.fetch_and_add seed_runs_reused_count n : int)
 
 let runs () = Atomic.get runs_count
 let session_reuses () = Atomic.get session_reuse_count
+let session_rebuilds () = Atomic.get session_rebuild_count
 let compile_fallbacks () = Atomic.get compile_fallback_count
+let seed_runs_reused () = Atomic.get seed_runs_reused_count
 
 let emit_counters () =
   let r = Wo_obs.Recorder.active () in
@@ -69,7 +78,9 @@ let emit_counters () =
     in
     c "machine.runs" (runs ());
     c "machine.session_reuse" (session_reuses ());
-    c "machine.compile_fallbacks" (compile_fallbacks ())
+    c "machine.session_rebuilds" (session_rebuilds ());
+    c "machine.compile_fallbacks" (compile_fallbacks ());
+    c "machine.seed_runs_reused" (seed_runs_reused ())
   end
 
 let make_result ~outcome ~trace ~cycles ~proc_finish

@@ -51,6 +51,12 @@ type session = {
   session_engine : engine;
   session_run :
     seed:int -> ?compiled:Wo_prog.Prog_compile.t -> Wo_prog.Program.t -> result;
+  session_seed_free : unit -> bool;
+      (** whether the last [session_run] returned having drawn no random
+          value; its result is then the result at every seed, since the
+          seed reaches a run only through the random streams it draws
+          from.  False before the first run, after a run that raised,
+          and always for sessions that cannot tell. *)
 }
 (** A reusable execution context: the memory system, interconnect and
     frontends are built once and reset in place between runs, so a batch
@@ -101,19 +107,26 @@ val run_batch :
 
     Process-wide counters (atomic — sweep workers run machines on
     several domains): total machine runs, runs that reused a session's
-    built state, and runs where a [Compiled] engine fell back to the
-    AST walker. *)
+    built state, session rebuilds forced by a change of machine width,
+    runs where a [Compiled] engine fell back to the AST walker, and
+    seeds whose result was taken from a seed-free run of the same
+    batch instead of being simulated. *)
 
 val note_run : unit -> unit
 val note_session_reuse : unit -> unit
+val note_session_rebuild : unit -> unit
 val note_compile_fallback : unit -> unit
+val note_seed_runs_reused : int -> unit
 val runs : unit -> int
 val session_reuses : unit -> int
+val session_rebuilds : unit -> int
 val compile_fallbacks : unit -> int
+val seed_runs_reused : unit -> int
 
 val emit_counters : unit -> unit
 (** Emit [machine.runs] / [machine.session_reuse] /
-    [machine.compile_fallbacks] to the active recorder, if enabled. *)
+    [machine.session_rebuilds] / [machine.compile_fallbacks] /
+    [machine.seed_runs_reused] to the active recorder, if enabled. *)
 
 val make_result :
   outcome:Wo_prog.Outcome.t ->

@@ -1,16 +1,16 @@
 type model = Model_drf0 | Model_drf1
 
 type loc_history = {
-  mutable last_write : (Wo_core.Event.t * Vector_clock.t) option;
-  mutable last_reads : (Wo_core.Event.t * Vector_clock.t) array;
+  mutable last_write : (Wo_core.Event.t * Wo_core.Vector_clock.t) option;
+  mutable last_reads : (Wo_core.Event.t * Wo_core.Vector_clock.t) array;
       (* indexed by processor; clock all-zero means "no read yet" *)
-  mutable sync_clock : Vector_clock.t;  (* join of released clocks *)
+  mutable sync_clock : Wo_core.Vector_clock.t;  (* join of released clocks *)
 }
 
 type t = {
   num_procs : int;
   model : model;
-  mutable proc_clocks : Vector_clock.t array;
+  mutable proc_clocks : Wo_core.Vector_clock.t array;
   locs : (Wo_core.Event.loc, loc_history) Hashtbl.t;
   dummy : Wo_core.Event.t;
 }
@@ -19,7 +19,8 @@ let create ~num_procs ~model =
   {
     num_procs;
     model;
-    proc_clocks = Array.init num_procs (fun _ -> Vector_clock.zero num_procs);
+    proc_clocks =
+      Array.init num_procs (fun _ -> Wo_core.Vector_clock.zero num_procs);
     locs = Hashtbl.create 64;
     dummy =
       Wo_core.Event.make ~id:(-1) ~proc:(-1) ~seq:(-1)
@@ -34,8 +35,9 @@ let history t loc =
       {
         last_write = None;
         last_reads =
-          Array.make t.num_procs (t.dummy, Vector_clock.zero t.num_procs);
-        sync_clock = Vector_clock.zero t.num_procs;
+          Array.make t.num_procs
+            (t.dummy, Wo_core.Vector_clock.zero t.num_procs);
+        sync_clock = Wo_core.Vector_clock.zero t.num_procs;
       }
     in
     Hashtbl.replace t.locs loc h;
@@ -64,10 +66,11 @@ let observe t (e : Wo_core.Event.t) =
   (* Advance our own component first so this event's clock includes its own
      timestamp — otherwise an event whose processor clock is still all-zero
      compares as ordered-before everything. *)
-  t.proc_clocks.(p) <- Vector_clock.tick t.proc_clocks.(p) p;
+  t.proc_clocks.(p) <- Wo_core.Vector_clock.tick t.proc_clocks.(p) p;
   (* Acquire: past synchronization on this location orders us. *)
   if acquires t e then
-    t.proc_clocks.(p) <- Vector_clock.join t.proc_clocks.(p) h.sync_clock;
+    t.proc_clocks.(p) <-
+      Wo_core.Vector_clock.join t.proc_clocks.(p) h.sync_clock;
   let my_clock = t.proc_clocks.(p) in
   let races = ref [] in
   let report prior =
@@ -75,7 +78,7 @@ let observe t (e : Wo_core.Event.t) =
     if
       prior_event.Wo_core.Event.proc <> p
       && prior_event.Wo_core.Event.id >= 0
-      && not (Vector_clock.leq prior_clock my_clock)
+      && not (Wo_core.Vector_clock.leq prior_clock my_clock)
     then races := { Wo_core.Drf0.e1 = prior_event; e2 = e } :: !races
   in
   (* Conflict checks against location history. *)
@@ -92,8 +95,8 @@ let observe t (e : Wo_core.Event.t) =
     Array.iteri
       (fun q ((re, rc) as r) ->
         ignore re;
-        if Vector_clock.leq rc my_clock then
-          h.last_reads.(q) <- (t.dummy, Vector_clock.zero t.num_procs)
+        if Wo_core.Vector_clock.leq rc my_clock then
+          h.last_reads.(q) <- (t.dummy, Wo_core.Vector_clock.zero t.num_procs)
         else h.last_reads.(q) <- r)
       h.last_reads
   end;
@@ -101,7 +104,7 @@ let observe t (e : Wo_core.Event.t) =
   (* Release: our past (including this event) becomes visible to later
      synchronizers. *)
   if releases t e then
-    h.sync_clock <- Vector_clock.join h.sync_clock my_clock;
+    h.sync_clock <- Wo_core.Vector_clock.join h.sync_clock my_clock;
   List.rev !races
 
 let races_of_execution ?(model = Model_drf0) exn =

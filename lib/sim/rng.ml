@@ -12,6 +12,10 @@ let[@inline] mix z =
 let[@inline] state t = Bytes.get_int64_ne t 0
 let[@inline] set_state t z = Bytes.set_int64_ne t 0 z
 
+(* The state advances by the odd [golden_gamma] on every draw, so its
+   low 63 bits repeat only after 2^63 draws. *)
+let[@inline] position t = Int64.to_int (state t)
+
 let[@inline] next t =
   let z = Int64.add (state t) golden_gamma in
   set_state t z;

@@ -25,6 +25,11 @@ val split_into : t -> t -> unit
     targeting an existing generator whose identity other components
     already hold. *)
 
+val position : t -> int
+(** Where the stream stands: every draw moves it, and it repeats only
+    after 2{^63} draws, so equal positions before and after a stretch of code mean
+    the stretch drew nothing.  Reading it draws nothing. *)
+
 val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound); [bound] must be positive. *)
 

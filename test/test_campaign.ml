@@ -101,6 +101,43 @@ let test_store_rejects_foreign () =
     Alcotest.fail "foreign magic accepted");
   Sys.remove path
 
+(* [wo store stats] only looks: a bit flipped inside a record early in
+   a 100-record store leaves the file byte-for-byte as it was, and the
+   bytes it cannot read are reported rather than truncated away. *)
+let test_store_stats_never_writes () =
+  let path = temp_store () in
+  with_store path (fun s ->
+      for i = 1 to 100 do
+        Store.add s ~key:(Printf.sprintf "key-%03d" i)
+          ~value:(String.make 200 (Char.chr (65 + (i mod 26))))
+      done);
+  let read_all () = In_channel.with_open_bin path In_channel.input_all in
+  let before = read_all () in
+  let at = String.length before / 10 in
+  let flipped = Bytes.of_string before in
+  Bytes.set flipped at (Char.chr (Char.code before.[at] lxor 0x10));
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_bytes oc flipped);
+  let out = Filename.temp_file "wo-store-stats" ".txt" in
+  let code =
+    Sys.command
+      (Printf.sprintf "../bin/wo.exe store stats %s > %s"
+         (Filename.quote path) (Filename.quote out))
+  in
+  let report = In_channel.with_open_bin out In_channel.input_all in
+  Alcotest.(check int) "stats exits 0" 0 code;
+  check "file bytes unchanged" true (read_all () = Bytes.to_string flipped);
+  let mentions sub =
+    let n = String.length sub in
+    let rec at i =
+      i + n <= String.length report && (String.sub report i n = sub || at (i + 1))
+    in
+    at 0
+  in
+  check "unreadable bytes reported" true (mentions "unreadable, left in place");
+  Sys.remove out;
+  Sys.remove path
+
 (* --- verdicts ---------------------------------------------------------------- *)
 
 let test_verdict_roundtrip () =
@@ -314,6 +351,8 @@ let tests =
     QCheck_alcotest.to_alcotest prop_truncation_recovery;
     Alcotest.test_case "store: foreign magic rejected" `Quick
       test_store_rejects_foreign;
+    Alcotest.test_case "store stats never writes a corrupt store" `Quick
+      test_store_stats_never_writes;
     Alcotest.test_case "verdict JSON round-trips" `Quick test_verdict_roundtrip;
     Alcotest.test_case
       "interrupted+resumed campaign = uninterrupted (byte-identical report)"

@@ -23,6 +23,7 @@ let () =
       ("race", Test_race.tests);
       ("machines", Test_machines.tests);
       ("machpath", Test_machpath.tests);
+      ("seed-free", Test_seedfree.tests);
       ("spec", Test_spec.tests);
       ("models", Test_models.tests);
       ("litmus", Test_litmus.tests);

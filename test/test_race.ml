@@ -1,6 +1,6 @@
 (* Tests for the vector-clock substrate and the on-the-fly race detector. *)
 
-module V = Wo_race.Vector_clock
+module V = Wo_core.Vector_clock
 module D = Wo_race.Detector
 module E = Wo_core.Event
 module X = Wo_core.Execution
