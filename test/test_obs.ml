@@ -422,6 +422,42 @@ let test_figure3_attribution () =
 
 (* --- Accounting invariant over random DRF0 programs ------------------------- *)
 
+(* The uncached and relaxed-model presets, where every stall span is
+   charged once: no processor stalls longer than it runs.  The coherent
+   presets still charge overlapping spans (a sync_commit wait inside a
+   reserve wait), so they are left out of that bound. *)
+let flat_presets =
+  [ P.sc_bus_nocache; P.bus_nocache_wb; P.net_nocache_weak; P.net_nocache_rp3;
+    P.rp3_fence; P.tso_wb; P.pso_wb; P.ra_window ]
+
+let stalls_within_run (m : M.t) (r : M.result) =
+  (not (List.memq m flat_presets))
+  || List.for_all
+       (fun proc -> M.proc_stalls r ~proc <= r.M.proc_finish.(proc))
+       (Stall.procs r.M.stalls)
+
+(* A write still in flight when a test-and-set of the same location
+   issues: the wait for it is charged as rmw_order, and the RMW's own
+   round trip from its send, not again from its issue. *)
+let test_rmw_after_write_charged_once () =
+  let module I = Wo_prog.Instr in
+  let program =
+    Wo_prog.Program.make ~name:"write-then-tas"
+      [ [ I.Write (0, I.Const 1); I.Test_and_set (1, 0) ] ]
+  in
+  let r = M.run P.net_nocache_weak ~seed:1 program in
+  let rmw_order = M.stall r ~proc:0 "rmw_order"
+  and commit = M.stall r ~proc:0 "sync_commit" in
+  check "the RMW waits for the write" true (rmw_order > 0);
+  check "and then for its own reply" true (commit > 0);
+  check_int "the two spans add up to one stall"
+    (M.proc_stalls r ~proc:0) (rmw_order + commit);
+  check
+    (Printf.sprintf "P0 stalls %d cycles in a %d-cycle run"
+       (M.proc_stalls r ~proc:0) r.M.proc_finish.(0))
+    true
+    (M.proc_stalls r ~proc:0 <= r.M.proc_finish.(0))
+
 let prop_stall_accounting_consistent =
   QCheck.Test.make
     ~name:"total stalls = per-proc sums = per-reason sums (all machines)"
@@ -452,7 +488,8 @@ let prop_stall_accounting_consistent =
           && by_proc = by_reason
           && List.for_all
                (fun proc -> M.proc_stalls r ~proc = Stall.proc_total s ~proc)
-               (Stall.procs s))
+               (Stall.procs s)
+          && stalls_within_run m r)
         P.all)
 
 let tests =
@@ -482,4 +519,6 @@ let tests =
     Alcotest.test_case "figure-3 stall attribution" `Quick
       test_figure3_attribution;
     QCheck_alcotest.to_alcotest prop_stall_accounting_consistent;
+    Alcotest.test_case "uncached RMW after a write is charged once" `Quick
+      test_rmw_after_write_charged_once;
   ]
