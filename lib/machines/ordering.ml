@@ -23,8 +23,8 @@
    synchronization is treated as data (the machine enforces nothing and
    is not weakly ordered, mirroring [Sync_none] elsewhere).
 
-   The memory side is the flat module-interleaved store of {!Uncached};
-   everything machine-generic lives in {!Driver}. *)
+   The memory side is {!Flat_memory}, shared with {!Uncached}; everything
+   machine-generic lives in {!Driver}. *)
 
 type kind =
   | Tso of { depth : int; drain_delay : int }
@@ -50,33 +50,10 @@ let drain_delay_of = function
   | Tso { drain_delay; _ } | Pso { drain_delay; _ } | Ra { drain_delay; _ } ->
     drain_delay
 
-(* Messages between processors and memory modules: the uncached
-   machine's protocol (modules apply operations atomically in arrival
-   order and reply with the application time). *)
-type amsg = Uncached.amsg =
-  | M_read of { loc : Wo_core.Event.loc; proc : int; tag : int }
-  | M_write of {
-      loc : Wo_core.Event.loc;
-      value : Wo_core.Event.value;
-      proc : int;
-      tag : int;
-    }
-  | M_rmw of {
-      loc : Wo_core.Event.loc;
-      f : Wo_core.Event.rmw;
-      proc : int;
-      tag : int;
-    }
-  | M_read_reply of { tag : int; value : Wo_core.Event.value; applied_at : int }
-  | M_write_ack of { tag : int; applied_at : int }
-  | M_rmw_reply of { tag : int; old : Wo_core.Event.value; applied_at : int }
-
-type entry = { eloc : Wo_core.Event.loc; evalue : Wo_core.Event.value; etag : int }
-
 (* One ordered path to memory: a FIFO of deposited writes with at most
    one in flight.  TSO gives each processor a single channel; PSO and RA
    give it one per location. *)
-type chan = { cq : entry Queue.t; mutable inflight : bool }
+type chan = { cq : Wo_cache.Write_buffer.entry Queue.t; mutable inflight : bool }
 
 type proc_ctx = {
   channels : (Wo_core.Event.loc, chan) Hashtbl.t;
@@ -85,19 +62,13 @@ type proc_ctx = {
   pending_at : (Wo_core.Event.loc, int) Hashtbl.t;
       (* deposited-but-unacknowledged writes per location *)
   mutable total_pending : int;
-  mutable quiet_waiters : (unit -> unit) list;
   mutable room_waiters : (unit -> unit) list;
   mutable loc_waiters : (Wo_core.Event.loc * (unit -> unit)) list;
 }
 
 let build (config : config) (env : Driver.env) : Memsys.port =
+  let mem = Flat_memory.create env config.fabric ~modules:config.modules in
   let engine = env.Driver.engine in
-  let num_procs = env.Driver.num_procs in
-  let module_node loc = num_procs + (loc mod config.modules) in
-  let fabric =
-    Driver.fabric env ~kind:Uncached.amsg_kind
-      ~kind_names:Uncached.amsg_kind_names config.fabric
-  in
   let per_loc_channels =
     match config.kind with Tso _ -> false | Pso _ | Ra _ -> true
   in
@@ -105,65 +76,28 @@ let build (config : config) (env : Driver.env) : Memsys.port =
     match config.kind with Tso _ | Pso _ -> false | Ra _ -> true
   in
   let drain_delay = max 0 (drain_delay_of config.kind) in
-  (* Memory modules. *)
-  let memory : (Wo_core.Event.loc, Wo_core.Event.value) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let mem_read loc =
-    match Hashtbl.find_opt memory loc with
-    | Some v -> v
-    | None -> Wo_prog.Program.initial_value env.Driver.program loc
-  in
-  for m = 0 to config.modules - 1 do
-    let node = num_procs + m in
-    fabric.Wo_interconnect.Fabric.connect ~node (fun msg ->
-        match msg with
-        | M_read { loc; proc; tag } ->
-          fabric.Wo_interconnect.Fabric.send ~src:node ~dst:proc
-            (M_read_reply
-               { tag; value = mem_read loc; applied_at = Wo_sim.Engine.now engine })
-        | M_write { loc; value; proc; tag } ->
-          Hashtbl.replace memory loc value;
-          fabric.Wo_interconnect.Fabric.send ~src:node ~dst:proc
-            (M_write_ack { tag; applied_at = Wo_sim.Engine.now engine })
-        | M_rmw { loc; f; proc; tag } ->
-          let old = mem_read loc in
-          Hashtbl.replace memory loc (Wo_core.Event.apply_rmw f old);
-          fabric.Wo_interconnect.Fabric.send ~src:node ~dst:proc
-            (M_rmw_reply { tag; old; applied_at = Wo_sim.Engine.now engine })
-        | M_read_reply _ | M_write_ack _ | M_rmw_reply _ ->
-          raise (Machine.Machine_error "memory module received a reply"))
-  done;
   let ctxs =
-    Array.init num_procs (fun _ ->
+    Array.init env.Driver.num_procs (fun _ ->
         {
           channels = Hashtbl.create 8;
           last_value = Hashtbl.create 8;
           pending_at = Hashtbl.create 8;
           total_pending = 0;
-          quiet_waiters = [];
           room_waiters = [];
           loc_waiters = [];
         })
   in
-  let next_tag = ref 0 in
-  let by_tag : (int, Memsys.op * (Memsys.op -> unit)) Hashtbl.t =
-    Hashtbl.create 64
-  in
   Driver.on_reset env (fun () ->
-      Hashtbl.reset memory;
-      next_tag := 0;
-      Hashtbl.reset by_tag;
       Array.iter
         (fun ctx ->
           Hashtbl.reset ctx.channels;
           Hashtbl.reset ctx.last_value;
           Hashtbl.reset ctx.pending_at;
           ctx.total_pending <- 0;
-          ctx.quiet_waiters <- [];
           ctx.room_waiters <- [];
           ctx.loc_waiters <- [])
         ctxs);
+  let now () = Wo_sim.Engine.now engine in
   let stall p reason cycles = Driver.stall env ~proc:p reason cycles in
   let counter = Wo_sim.Stats.counter env.Driver.stats in
   let drains = counter "model.drains"
@@ -175,8 +109,7 @@ let build (config : config) (env : Driver.env) : Memsys.port =
     Wo_sim.Stats.bump_max occupancy_max ctx.total_pending;
     if Wo_obs.Recorder.enabled env.Driver.obs then
       Wo_obs.Recorder.counter env.Driver.obs ~cat:Wo_obs.Recorder.Proc ~track:p
-        ~name:"model.buffer" ~ts:(Wo_sim.Engine.now engine)
-        ~value:ctx.total_pending
+        ~name:"model.buffer" ~ts:(now ()) ~value:ctx.total_pending
   in
   let chan_of ctx loc =
     let key = if per_loc_channels then loc else 0 in
@@ -190,24 +123,19 @@ let build (config : config) (env : Driver.env) : Memsys.port =
   let pending ctx loc =
     match Hashtbl.find_opt ctx.pending_at loc with Some n -> n | None -> 0
   in
-  let quiet ctx = ctx.total_pending = 0 in
+  let add_pending ctx loc d =
+    Hashtbl.replace ctx.pending_at loc (pending ctx loc + d);
+    ctx.total_pending <- ctx.total_pending + d
+  in
   let has_room ctx loc =
     match config.kind with
     | Tso { depth; _ } -> ctx.total_pending < depth
     | Ra { window; _ } -> ctx.total_pending < window
     | Pso { depth; _ } -> pending ctx loc < depth
   in
-  let fire_waiters ctx =
-    if quiet ctx then begin
-      let ws = ctx.quiet_waiters in
-      ctx.quiet_waiters <- [];
-      List.iter (fun k -> k ()) ws
-    end;
-    let ws = ctx.room_waiters in
-    ctx.room_waiters <- [];
-    List.iter (fun k -> k ()) ws
-  in
-  let fire_loc_waiters ctx loc =
+  (* After an acknowledgement: first the RMWs waiting on its location,
+     later a barrier waiting for quiet, then writes waiting for room. *)
+  let release_loc ctx loc =
     if pending ctx loc = 0 then begin
       let ready, rest =
         List.partition (fun (l, _) -> l = loc) ctx.loc_waiters
@@ -216,160 +144,84 @@ let build (config : config) (env : Driver.env) : Memsys.port =
       List.iter (fun (_, k) -> k ()) ready
     end
   in
-  let on_quiet ctx k =
-    if quiet ctx then k () else ctx.quiet_waiters <- k :: ctx.quiet_waiters
-  in
-  let send_with_reply p msg_of_tag (r : Memsys.op) k =
-    let tag = !next_tag in
-    incr next_tag;
-    Hashtbl.replace by_tag tag (r, k);
-    fabric.Wo_interconnect.Fabric.send ~src:p ~dst:(module_node r.Memsys.oloc)
-      (msg_of_tag tag)
+  let release p ctx =
+    Flat_memory.wake_if_quiet mem p;
+    let ws = ctx.room_waiters in
+    ctx.room_waiters <- [];
+    List.iter (fun k -> k ()) ws
   in
   (* Drain one channel: send its oldest entry after the rest delay, and
      only send the next after the acknowledgement comes back, so entries
      of one channel perform in deposit order. *)
-  let rec drain p chan =
+  let drain p chan =
     if not chan.inflight then
-      match Queue.peek_opt chan.cq with
+      match Queue.take_opt chan.cq with
       | None -> ()
       | Some entry ->
-        ignore (Queue.pop chan.cq);
         chan.inflight <- true;
-        Wo_sim.Engine.schedule engine ~delay:drain_delay (fun () ->
-            fabric.Wo_interconnect.Fabric.send ~src:p
-              ~dst:(module_node entry.eloc)
-              (M_write
-                 {
-                   loc = entry.eloc;
-                   value = entry.evalue;
-                   proc = p;
-                   tag = entry.etag;
-                 }))
-  and write_acked p ctx loc =
+        Flat_memory.post mem p ~delay:drain_delay entry
+  in
+  let drained p ctx (r : Memsys.op) =
+    let loc = r.Memsys.oloc in
     let chan = chan_of ctx loc in
     chan.inflight <- false;
-    Hashtbl.replace ctx.pending_at loc (pending ctx loc - 1);
-    ctx.total_pending <- ctx.total_pending - 1;
+    add_pending ctx loc (-1);
     Wo_sim.Stats.bump drains;
     note_occupancy p ctx;
-    fire_loc_waiters ctx loc;
+    release_loc ctx loc;
     drain p chan;
-    fire_waiters ctx
+    release p ctx
   in
   let deposit p ctx (r : Memsys.op) v =
-    let now = Wo_sim.Engine.now engine in
-    let tag = !next_tag in
-    incr next_tag;
-    Hashtbl.replace by_tag tag (r, fun _ -> write_acked p ctx r.Memsys.oloc);
+    let tag = Flat_memory.expect mem r (drained p ctx) in
     Hashtbl.replace ctx.last_value r.Memsys.oloc v;
-    Hashtbl.replace ctx.pending_at r.Memsys.oloc (pending ctx r.Memsys.oloc + 1);
-    ctx.total_pending <- ctx.total_pending + 1;
+    add_pending ctx r.Memsys.oloc 1;
     Wo_sim.Stats.bump deposits;
     note_occupancy p ctx;
     let chan = chan_of ctx r.Memsys.oloc in
-    Queue.add { eloc = r.Memsys.oloc; evalue = v; etag = tag } chan.cq;
-    r.Memsys.committed <- now;
+    Queue.add { Wo_cache.Write_buffer.loc = r.Memsys.oloc; value = v; tag } chan.cq;
+    r.Memsys.committed <- now ();
     Driver.resume env p ~store:None ~delay:1;
     drain p chan
   in
   let perform p (op : Proc_frontend.memory_op) =
     let ctx = ctxs.(p) in
-    let now () = Wo_sim.Engine.now engine in
-    let sync =
-      match op.Proc_frontend.kind with
-      | Wo_core.Event.Sync_read | Wo_core.Event.Sync_write
-      | Wo_core.Event.Sync_rmw ->
-        true
-      | Wo_core.Event.Data_read | Wo_core.Event.Data_write -> false
-    in
-    let barrier = sync && config.sync_barriers in
-    let issue_read (r : Memsys.op) ~reason =
+    let barrier = Flat_memory.is_sync op && config.sync_barriers in
+    (* A synchronization write goes straight to its module; the processor
+       resumes at the acknowledgement. *)
+    let direct_write (r : Memsys.op) v =
       let t0 = now () in
-      send_with_reply p
-        (fun tag -> M_read { loc = r.Memsys.oloc; proc = p; tag })
-        r
-        (fun r ->
-          stall p reason (now () - t0);
-          let store =
-            match (op.Proc_frontend.dest, r.Memsys.rv) with
-            | Some reg, Some v -> Some (reg, v)
-            | _ -> None
-          in
-          Driver.resume env p ~store ~delay:1)
-    in
-    let issue_rmw (r : Memsys.op) ~reason f =
-      let t0 = now () in
-      send_with_reply p
-        (fun tag -> M_rmw { loc = r.Memsys.oloc; f; proc = p; tag })
-        r
-        (fun r ->
-          stall p reason (now () - t0);
-          (match (r.Memsys.rv, op.Proc_frontend.payload) with
-          | Some old, `Rmw d -> r.Memsys.wv <- Some (Wo_core.Event.apply_rmw d old)
-          | _ -> ());
-          let store =
-            match (op.Proc_frontend.dest, r.Memsys.rv) with
-            | Some reg, Some v -> Some (reg, v)
-            | _ -> None
-          in
-          Driver.resume env p ~store ~delay:1)
-    in
-    (* A synchronization write (or a data write on a machine that waits)
-       goes straight to its module; the processor resumes at the
-       acknowledgement. *)
-    let issue_direct_write (r : Memsys.op) v ~reason =
-      let t0 = now () in
-      Hashtbl.replace ctx.pending_at r.Memsys.oloc (pending ctx r.Memsys.oloc + 1);
-      ctx.total_pending <- ctx.total_pending + 1;
-      send_with_reply p
-        (fun tag -> M_write { loc = r.Memsys.oloc; value = v; proc = p; tag })
-        r
-        (fun r ->
-          Hashtbl.replace ctx.pending_at r.Memsys.oloc
-            (pending ctx r.Memsys.oloc - 1);
-          ctx.total_pending <- ctx.total_pending - 1;
-          fire_loc_waiters ctx r.Memsys.oloc;
-          fire_waiters ctx;
-          stall p reason (now () - t0);
+      add_pending ctx r.Memsys.oloc 1;
+      Flat_memory.write mem p r v (fun r ->
+          add_pending ctx r.Memsys.oloc (-1);
+          release_loc ctx r.Memsys.oloc;
+          release p ctx;
+          stall p Wo_obs.Stall.Write_ack (now () - t0);
           Driver.resume env p ~store:None ~delay:1)
-    in
-    let forward_read (r : Memsys.op) v =
-      Wo_sim.Stats.bump forwards;
-      r.Memsys.rv <- Some v;
-      r.Memsys.committed <- now ();
-      r.Memsys.performed <- now ();
-      let store = Option.map (fun reg -> (reg, v)) op.Proc_frontend.dest in
-      Driver.resume env p ~store ~delay:1
     in
     let go () =
       let r = Driver.new_op env ~proc:p op in
       match op.Proc_frontend.payload with
       | `Read ->
-        if pending ctx r.Memsys.oloc > 0 then
+        if pending ctx r.Memsys.oloc > 0 then begin
           (* store-to-load forwarding: the youngest pending write wins *)
-          forward_read r (Hashtbl.find ctx.last_value r.Memsys.oloc)
-        else
-          issue_read r
-            ~reason:
-              (if sync then Wo_obs.Stall.Sync_commit else Wo_obs.Stall.Read_miss)
+          Wo_sim.Stats.bump forwards;
+          Flat_memory.forward mem p op r (Hashtbl.find ctx.last_value r.Memsys.oloc)
+        end
+        else Flat_memory.read mem p op r
       | `Rmw f ->
-        let reason =
-          if sync then Wo_obs.Stall.Sync_commit else Wo_obs.Stall.Rmw_wait
-        in
         if pending ctx r.Memsys.oloc > 0 then begin
           let t0 = now () in
           ctx.loc_waiters <-
             ( r.Memsys.oloc,
               fun () ->
                 stall p Wo_obs.Stall.Rmw_order (now () - t0);
-                issue_rmw r ~reason f )
+                Flat_memory.rmw mem p op r f )
             :: ctx.loc_waiters
         end
-        else issue_rmw r ~reason f
+        else Flat_memory.rmw mem p op r f
       | `Write v ->
-        if barrier then
-          issue_direct_write r v ~reason:Wo_obs.Stall.Write_ack
+        if barrier then direct_write r v
         else if has_room ctx r.Memsys.oloc then deposit p ctx r v
         else begin
           let t0 = now () in
@@ -389,50 +241,13 @@ let build (config : config) (env : Driver.env) : Memsys.port =
     if barrier && not acquire then begin
       (* Release barrier: every pending write of this processor performs
          before the synchronization is issued. *)
-      if not (quiet ctx) then Wo_sim.Stats.bump barrier_drains;
-      let t0 = Wo_sim.Engine.now engine in
-      on_quiet ctx (fun () ->
-          stall p Wo_obs.Stall.Release_gate (Wo_sim.Engine.now engine - t0);
+      if not (Flat_memory.quiet mem p) then Wo_sim.Stats.bump barrier_drains;
+      let t0 = now () in
+      Flat_memory.on_quiet mem p (fun () ->
+          stall p Wo_obs.Stall.Release_gate (now () - t0);
           go ())
     end
     else go ()
-  in
-  Array.iteri
-    (fun p _ctx ->
-      fabric.Wo_interconnect.Fabric.connect ~node:p (fun msg ->
-          let complete tag fill =
-            match Hashtbl.find_opt by_tag tag with
-            | None -> raise (Machine.Machine_error "unknown reply tag")
-            | Some (r, k) ->
-              Hashtbl.remove by_tag tag;
-              fill r;
-              k r
-          in
-          match msg with
-          | M_read_reply { tag; value; applied_at } ->
-            complete tag (fun (r : Memsys.op) ->
-                r.Memsys.rv <- Some value;
-                r.Memsys.committed <- applied_at;
-                r.Memsys.performed <- applied_at)
-          | M_rmw_reply { tag; old; applied_at } ->
-            complete tag (fun (r : Memsys.op) ->
-                r.Memsys.rv <- Some old;
-                r.Memsys.committed <- applied_at;
-                r.Memsys.performed <- applied_at)
-          | M_write_ack { tag; applied_at } ->
-            complete tag (fun (r : Memsys.op) ->
-                if r.Memsys.committed < 0 then r.Memsys.committed <- applied_at;
-                r.Memsys.performed <- applied_at)
-          | M_read _ | M_write _ | M_rmw _ ->
-            raise (Machine.Machine_error "processor received a request")))
-    ctxs;
-  let fence p =
-    let ctx = ctxs.(p) in
-    let t0 = Wo_sim.Engine.now engine in
-    on_quiet ctx (fun () ->
-        Driver.stall env ~proc:p Wo_obs.Stall.Counter_drain
-          (Wo_sim.Engine.now engine - t0);
-        Driver.resume env p ~store:None ~delay:1)
   in
   let proc_status p =
     let ctx = ctxs.(p) in
@@ -447,35 +262,7 @@ let build (config : config) (env : Driver.env) : Memsys.port =
     Printf.sprintf "pending=%d%s" ctx.total_pending
       (if locs = "" then "" else " [" ^ locs ^ "]")
   in
-  let debug_dump () =
-    let b = Buffer.create 256 in
-    Array.iteri
-      (fun p ctx ->
-        Buffer.add_string b
-          (Printf.sprintf "P%d: %s quiet=%b\n" p (proc_status p) (quiet ctx)))
-      ctxs;
-    Buffer.add_string b
-      (Printf.sprintf "unmatched reply tags: %d\n" (Hashtbl.length by_tag));
-    Buffer.contents b
-  in
-  let check_drained () =
-    Array.iteri
-      (fun p ctx ->
-        if not (quiet ctx) then
-          raise
-            (Machine.Machine_error
-               (Printf.sprintf "%s: P%d has undrained writes" env.Driver.name p)))
-      ctxs
-  in
-  {
-    Memsys.perform;
-    fence;
-    final_value = mem_read;
-    proc_status;
-    shared_status = (fun () -> "");
-    debug_dump;
-    check_drained;
-  }
+  Flat_memory.port mem ~perform ~proc_status
 
 let make ~name ~description ~sequentially_consistent ~weakly_ordered_drf0
     (config : config) : Machine.t =

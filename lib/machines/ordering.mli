@@ -22,6 +22,9 @@
     programs because any guaranteed cross-processor happens-before chain
     leaves a processor through a synchronization write.
 
+    Only the store path lives here; the memory modules, reads, RMWs,
+    forwarding and fences are {!Flat_memory}'s, shared with {!Uncached}.
+
     Each model's reachable outcomes for a program are a subset of the
     axiomatic set {!Wo_prog.Relaxed.outcomes} computes for the matching
     {!Wo_core.Sync_model.hardware}; [wo difftest] checks that inclusion. *)
@@ -53,9 +56,6 @@ val hardware_of_kind : kind -> Wo_core.Sync_model.hardware
 
 val kind_name : kind -> string
 (** ["tso"], ["pso"] or ["ra"]. *)
-
-val build : config -> Driver.env -> Memsys.port
-(** The port builder, for composition with a custom driver. *)
 
 val make :
   name:string ->

@@ -16,7 +16,11 @@
     - [flush_buffer_on_sync] makes the buffered-bus machine weakly ordered
       with respect to DRF0: synchronization drains the buffer and waits
       for all outstanding acknowledgements, a classic fence
-      implementation. *)
+      implementation.
+
+    This module is only the store path (the buffer, its drain, and
+    per-location write sequencing); the memory modules, reads, RMWs and
+    fences are {!Flat_memory}'s, shared with {!Ordering}. *)
 
 type buffer_config = {
   depth : int;
@@ -35,33 +39,6 @@ type config = {
   modules : int;  (** memory modules; locations are interleaved round-robin *)
   local_cost : int;
 }
-
-(** Messages between processors and memory modules; modules apply
-    operations atomically in arrival order and reply with the
-    application time.  {!Ordering} speaks the same protocol. *)
-type amsg =
-  | M_read of { loc : Wo_core.Event.loc; proc : int; tag : int }
-  | M_write of {
-      loc : Wo_core.Event.loc;
-      value : Wo_core.Event.value;
-      proc : int;
-      tag : int;
-    }
-  | M_rmw of {
-      loc : Wo_core.Event.loc;
-      f : Wo_core.Event.rmw;
-      proc : int;
-      tag : int;
-    }
-  | M_read_reply of { tag : int; value : Wo_core.Event.value; applied_at : int }
-  | M_write_ack of { tag : int; applied_at : int }
-  | M_rmw_reply of { tag : int; old : Wo_core.Event.value; applied_at : int }
-
-val amsg_kind : amsg -> int
-(** The constructor's index into {!amsg_kind_names}. *)
-
-val amsg_kind_names : string array
-(** Message-tap names by {!amsg_kind}: ["Read"], ["Write"], … *)
 
 val make :
   name:string ->
