@@ -1241,8 +1241,15 @@ let campaign_cmd =
         Printf.printf "  shard %d/%d: %d/%d cells settled by this run\n%!"
           (shard + 1) shards_total executed total
     in
+    let on_store_dropped bytes =
+      Printf.eprintf
+        "wo campaign: warning: %s: %d unreadable byte(s) dropped on open; \
+         the cells they held are settled again\n%!"
+        store_path bytes
+    in
     let result =
-      Wo_campaign.Campaign.run ~engine ~on_shard config ~specs ~cases
+      Wo_campaign.Campaign.run ~engine ~on_shard ~on_store_dropped config
+        ~specs ~cases
     in
     let wall = Unix.gettimeofday () -. t0 in
     Printf.printf

@@ -425,7 +425,7 @@ let findings_of p settled =
       | c -> c)
     !findings
 
-let run ?engine ?on_shard config ~specs ~cases =
+let run ?engine ?on_shard ?(on_store_dropped = ignore) config ~specs ~cases =
   let domains = config_domains config in
   let p = plan config ~specs ~cases in
   let total = plan_cells p in
@@ -437,6 +437,7 @@ let run ?engine ?on_shard config ~specs ~cases =
      the store a second time per cell. *)
   let settled_arr : string option array = Array.make total None in
   let store = Store.openf config.store_path in
+  if Store.tail_dropped store > 0 then on_store_dropped (Store.tail_dropped store);
   let dead, count =
     Fun.protect ~finally:(fun () -> Store.close store) @@ fun () ->
     (try

@@ -171,6 +171,7 @@ val settle :
 val run :
   ?engine:Wo_machines.Machine.engine ->
   ?on_shard:(shard:int -> settled:int -> executed:int -> total:int -> unit) ->
+  ?on_store_dropped:(int -> unit) ->
   config ->
   specs:Wo_machines.Spec.t list ->
   cases:Wo_synth.Synth.case list ->
@@ -182,7 +183,9 @@ val run :
     Machine errors are caught per cell and recorded as failing
     verdicts, not crashes.  After a complete (not [max_shards]-stopped)
     run, the store is compacted if the [auto_compact] dead-record
-    threshold is met. *)
+    threshold is met.  [on_store_dropped] receives the bytes opening the
+    store discarded ({!Store.tail_dropped}), when there are any: the
+    cells those records held are settled again. *)
 
 val findings_report : result -> string
 (** Deterministic plain-text report (no timestamps, no wall-clock): the

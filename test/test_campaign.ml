@@ -138,6 +138,45 @@ let test_store_stats_never_writes () =
   Sys.remove out;
   Sys.remove path
 
+(* [wo campaign] on a store with a bit flipped at 10% of its length: the
+   bytes opening the store drops are named in a warning on stderr (the
+   cells they held are settled again). *)
+let test_campaign_warns_dropped_bytes () =
+  let path = temp_store () in
+  let err = Filename.temp_file "wo-campaign-err" ".txt" in
+  let campaign () =
+    Sys.command
+      (Printf.sprintf "../bin/wo.exe campaign -c 6 -m wo-new --store %s > %s 2> %s"
+         (Filename.quote path) Filename.null (Filename.quote err))
+  in
+  let stderr () = In_channel.with_open_bin err In_channel.input_all in
+  Alcotest.(check int) "cold campaign exits 0" 0 (campaign ());
+  Alcotest.(check string) "no warning on a clean store" "" (stderr ());
+  let bytes = In_channel.with_open_bin path In_channel.input_all in
+  let at = String.length bytes / 10 in
+  let flipped = Bytes.of_string bytes in
+  Bytes.set flipped at (Char.chr (Char.code bytes.[at] lxor 0x10));
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc flipped);
+  let copy = temp_store () in
+  Out_channel.with_open_bin copy (fun oc -> Out_channel.output_bytes oc flipped);
+  let dropped = with_store copy Store.tail_dropped in
+  check "the flip drops bytes" true (dropped > 0);
+  Alcotest.(check int) "resumed campaign exits 0" 0 (campaign ());
+  let warning = stderr () in
+  let mentions sub =
+    let n = String.length sub in
+    let rec at i =
+      i + n <= String.length warning
+      && (String.sub warning i n = sub || at (i + 1))
+    in
+    at 0
+  in
+  check
+    (Printf.sprintf "warning names %d dropped bytes: %S" dropped warning)
+    true
+    (mentions (Printf.sprintf " %d unreadable byte(s) dropped" dropped));
+  List.iter Sys.remove [ path; copy; err ]
+
 (* --- verdicts ---------------------------------------------------------------- *)
 
 let test_verdict_roundtrip () =
@@ -353,6 +392,8 @@ let tests =
       test_store_rejects_foreign;
     Alcotest.test_case "store stats never writes a corrupt store" `Quick
       test_store_stats_never_writes;
+    Alcotest.test_case "campaign warns of dropped store bytes" `Quick
+      test_campaign_warns_dropped_bytes;
     Alcotest.test_case "verdict JSON round-trips" `Quick test_verdict_roundtrip;
     Alcotest.test_case
       "interrupted+resumed campaign = uninterrupted (byte-identical report)"
