@@ -24,7 +24,9 @@
 
    Results go to stdout and BENCH_machpath.json; CI gates the identity
    flags always and the allocation target plus a strictly-faster
-   throughput floor at full bounds. *)
+   throughput floor at full bounds.  The litmus rows also run on one
+   uncached and one relaxed-model preset (net-nocache-rp3, tso-wb), whose
+   largest session bytes/run CI caps beside the coherent rows' ceiling. *)
 
 module M = Wo_machines.Machine
 module P = Wo_machines.Presets
@@ -133,6 +135,10 @@ let campaign_identity ~runs ~domains_list ~machines tests =
 
 (* --- the experiment --------------------------------------------------------- *)
 
+(* One uncached and one relaxed-model preset: the store paths in front
+   of the shared flat memory. *)
+let flat_machines = [ P.net_nocache_rp3; P.tso_wb ]
+
 let run () =
   Wo_report.Table.heading
     "E17 / compiled machine path — int-coded frontends, reusable sessions";
@@ -169,6 +175,13 @@ let run () =
     | Ok [] -> failwith ("e17: empty batch for " ^ family)
     | Error e -> failwith ("e17: " ^ e)
   in
+  (* The flat-memory backends (uncached and relaxed-model) on the same
+     protocol-bound shapes; their allocation is gated separately. *)
+  let flat_rows =
+    List.concat_map
+      (fun m -> [ (m, of_litmus L.figure1); (m, synthesized "cycle-mixed") ])
+      flat_machines
+  in
   let grid =
     (if Exp_common.quick then
        [
@@ -177,6 +190,7 @@ let run () =
          (P.wo_new, synthesized "cycle-mixed");
          (P.wo_new, ("compute200x2", compute ~iters:200 ~procs:2));
        ]
+       @ flat_rows
      else
        [
          (P.wo_new, of_litmus L.figure1);
@@ -190,7 +204,8 @@ let run () =
             inline fast path, so this row isolates the compiled walker
             against the AST walk + one-event-per-instruction oracle *)
          (P.wo_new, ("compute2000x1", compute ~iters:2000 ~procs:1));
-       ])
+       ]
+       @ flat_rows)
   in
   let rows =
     List.map (fun (m, (name, program)) -> measure ~runs ~name m program) grid
@@ -236,11 +251,16 @@ let run () =
     List.exists (fun (t : L.t) -> t.L.name = r.r_program) L.all
     || List.mem r.r_program [ "cycle-drf0"; "cycle-mixed" ]
   in
-  let max_litmus_bytes =
+  let is_flat r =
+    List.exists (fun (m : M.t) -> m.M.name = r.r_machine) flat_machines
+  in
+  let max_bytes keep =
     List.fold_left
-      (fun a r -> if is_litmus r then max a r.compiled_bytes_per_run else a)
+      (fun a r -> if keep r then max a r.compiled_bytes_per_run else a)
       0.0 rows
   in
+  let max_litmus_bytes = max_bytes (fun r -> is_litmus r && not (is_flat r)) in
+  let max_flat_bytes = max_bytes (fun r -> is_litmus r && is_flat r) in
   let best_speedup = List.fold_left (fun a r -> max a r.speedup) 0.0 rows in
   let best_alloc = List.fold_left (fun a r -> max a r.alloc_ratio) 0.0 rows in
   let speedup_met = best_speedup >= 5.0 in
@@ -250,6 +270,10 @@ let run () =
      3x)%s\n\n"
     best_speedup best_alloc
     (if Exp_common.quick then " — quick mode, perf not gated" else "");
+  Printf.printf
+    "largest litmus-row session allocation: coherent %.0f B/run, flat \
+     memory %.0f B/run\n\n"
+    max_litmus_bytes max_flat_bytes;
   (* Campaign identity: the sweep front door reports the same bytes per
      cell at every engine and every domain count. *)
   let domains = max 2 (min 4 (Domain.recommended_domain_count ())) in
@@ -290,6 +314,7 @@ let run () =
       ("best_speedup", J.Float best_speedup);
       ("best_alloc_ratio", J.Float best_alloc);
       ("max_litmus_session_bytes_per_run", J.Float max_litmus_bytes);
+      ("max_flat_session_bytes_per_run", J.Float max_flat_bytes);
       ("speedup_target_met", J.Bool speedup_met);
       ("alloc_target_met", J.Bool alloc_met);
       ("sweep_identical", J.Bool sweep_identical);
